@@ -118,8 +118,8 @@ func workers() {
 		panic(fmt.Sprintf("unexpected queue state: %v", remaining))
 	}
 	st := producer.node.Stats()
-	fmt.Printf("producer wire: %d B sent, %d B recv, %d delta syncs, %d fallbacks\n",
-		st.BytesSent, st.BytesRecv, st.DeltaSyncs, st.Fallbacks)
+	fmt.Printf("producer wire: %d B sent, %d B recv, %d syncs, %d range probes\n",
+		st.BytesSent, st.BytesRecv, st.DeltaSyncs, st.RangesSent)
 }
 
 func must(err error) {

@@ -22,8 +22,8 @@ import (
 //     identical head hash — the recovery bound as a function of how
 //     bad the faults were;
 //   - redundant commits: re-shipped commits the fault retries caused —
-//     the price of syncing through an unreliable net, which the
-//     reconciliation dialect keeps near zero on clean links;
+//     the price of syncing through an unreliable net, which
+//     reconciliation keeps near zero on clean links;
 //   - total wire bytes over the whole run, for the same comparison.
 //
 // The zero-loss, zero-partition row is the baseline the faulted rows

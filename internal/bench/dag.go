@@ -18,9 +18,8 @@ import (
 // history (which grows 10²–10⁵) — the flat trajectory recorded in
 // BENCH_dag.json is the regression signal CI watches. Only the merge
 // calls (Pull/Sync) are inside the timers: shipping is excluded in the
-// replicated scenarios because its frontier sampling is
-// O(FrontierWalkBudget)-capped — constant, but a constant large enough
-// to drown the merge signal being measured.
+// replicated scenarios so it cannot drown the merge signal being
+// measured.
 
 // DagRow is one measured merge at one history length.
 type DagRow struct {
@@ -138,12 +137,12 @@ func newDagPeer(name string, id int) *dagPeer {
 }
 
 // ship transfers q's current head into p's tracking branch for q,
-// cutting the export at p's sampled frontier (delta shipping).
+// cutting the export at the tracking branch's head (delta shipping).
 func (p *dagPeer) ship(q *dagPeer) {
 	track := "from/" + q.name
 	var have []store.Hash
-	if f, err := p.s.Frontier(track); err == nil {
-		have = f.HaveSet()
+	if h, err := p.s.HeadHash(track); err == nil {
+		have = []store.Hash{h}
 	}
 	delta, head, err := q.s.ExportSince("main", have)
 	if err != nil {

@@ -23,15 +23,15 @@ import (
 //
 //   - resident object bytes — the store's Figure 15-style footprint;
 //   - sync bytes for a deep pull (a fresh peer fetching the whole
-//     history) and a converged re-sync (frontier negotiation, nothing to
-//     ship);
+//     history) and a converged re-sync (export cut at the head, nothing
+//     to ship);
 //   - cold materialize latency — reassembling an out-of-cache state
 //     through its delta chain;
 //   - allocations per committed operation on the Apply path.
 //
 // Packed wire bytes are measured by streaming the actual packed delta
 // frames through a counting writer. The pre-pack comparison figures are
-// computed exactly from per-commit state sizes plus the v2 frame
+// computed exactly from per-commit state sizes plus the pre-pack frame
 // layout, because materializing every full state of a 10⁴-operation log
 // at once — O(history × state size) bytes — is precisely the cost the
 // pack layer exists to avoid.
@@ -58,8 +58,8 @@ type SpaceRow struct {
 	// Deep pull: wire bytes shipping the whole history to a fresh peer.
 	DeepPullPackedBytes int64 `json:"deep_pull_packed_bytes"`
 	DeepPullFullBytes   int64 `json:"deep_pull_full_bytes"`
-	// Converged re-sync: wire bytes of the delta stream after frontier
-	// subtraction (identical histories).
+	// Converged re-sync: wire bytes of the delta stream cut at the head
+	// (identical histories).
 	ResyncPackedBytes int64 `json:"resync_packed_bytes"`
 	ResyncFullBytes   int64 `json:"resync_full_bytes"`
 	// SyncReduction is (resync+deep-pull) full over packed.
@@ -164,22 +164,20 @@ func spaceRun[S, Op, Val any](
 	row.DeepPullPackedBytes = cw.n
 
 	// Deep pull, pre-pack: every commit ships its full state. Computed
-	// from per-commit sizes and the exact v2 commit layout (4-byte parent
-	// count + 32 bytes per parent + 4-byte length prefix + state + 8-byte
-	// generation + 8-byte timestamp), plus the same header/chunk/end
-	// framing the packed stream paid.
+	// from per-commit sizes and the exact pre-pack commit layout (4-byte
+	// parent count + 32 bytes per parent + 4-byte length prefix + state +
+	// 8-byte generation + 8-byte timestamp), plus the same
+	// header/chunk/end framing the packed stream paid.
 	headHash, err := s.HeadHash("main")
 	if err != nil {
 		panic(err)
 	}
 	row.DeepPullFullBytes = fullDeltaBytes(s, headHash)
 
-	// Converged re-sync: subtract the branch's own frontier.
-	f, err := s.Frontier("main")
-	if err != nil {
-		panic(err)
-	}
-	resyncPacked, resyncHead, err := s.ExportSincePacked("main", f.HaveSet())
+	// Converged re-sync: the peer holds the head, so the export is cut
+	// there.
+	have := []store.Hash{headHash}
+	resyncPacked, resyncHead, err := s.ExportSincePacked("main", have)
 	if err != nil {
 		panic(err)
 	}
@@ -188,12 +186,12 @@ func spaceRun[S, Op, Val any](
 		panic(err)
 	}
 	row.ResyncPackedBytes = cw.n
-	resyncFull, resyncHead, err := s.ExportSince("main", f.HaveSet())
+	resyncFull, resyncHead, err := s.ExportSince("main", have)
 	if err != nil {
 		panic(err)
 	}
 	cw = countingWriter{}
-	if err := wire.WriteDelta(&cw, resyncFull, resyncHead); err != nil {
+	if err := wire.WriteDeltaPacked(&cw, resyncFull, resyncHead); err != nil {
 		panic(err)
 	}
 	row.ResyncFullBytes = cw.n
@@ -222,8 +220,8 @@ func spaceRun[S, Op, Val any](
 	return row
 }
 
-// fullDeltaBytes computes the wire size of a full-state v2 delta of the
-// whole history without materializing one.
+// fullDeltaBytes computes the wire size of a pre-pack (full-state) delta
+// of the whole history without materializing one.
 func fullDeltaBytes[S, Op, Val any](s *store.Store[S, Op, Val], head store.Hash) int64 {
 	const (
 		msgOverhead   = 5 + 4 // kind + field count + field length prefix

@@ -10,11 +10,11 @@ import (
 )
 
 // Sync-cost benchmark: wire bytes and wall time of a replica sync as a
-// function of history length, for the legacy full-history protocol and
-// the incremental delta protocol, over pair and ring topologies. The
-// full protocol's cost grows with the whole history on every exchange;
-// the delta protocol pays O(frontier) once a pair has converged and
-// O(gap) when it has not — the difference this table measures.
+// function of history length, for the delta protocol against a
+// full-history baseline, over pair and ring topologies. The full
+// baseline's cost grows with the whole history on every exchange; the
+// delta protocol pays O(1) once a pair has converged and O(gap) when it
+// has not — the difference this table measures.
 
 // SyncCostRow is one measured sync exchange (or ring round).
 type SyncCostRow struct {
@@ -22,7 +22,9 @@ type SyncCostRow struct {
 	History int
 	// Topology is "pair" (one exchange) or "ring" (a 3-node round).
 	Topology string
-	// Proto is "full" (legacy one-shot) or "delta" (frontier-negotiated).
+	// Proto is "delta" (a real sync over TCP) or "full" (both sides'
+	// whole histories exported in process and streamed through a
+	// counting writer: the cost of a full-history exchange).
 	Proto string
 	// Phase is "resync" (already converged) or "fresh-op" (one operation
 	// behind).
@@ -66,13 +68,9 @@ func syncInc(n *syncNode) {
 	}
 }
 
-// measureSync runs one client→server exchange under the given protocol
-// and returns its wire cost from the stats deltas of both nodes.
-func measureSync(client, server *syncNode, proto string) (int64, int64, time.Duration) {
-	if proto == "full" {
-		client.SetFullSyncOnly(true)
-		defer client.SetFullSyncOnly(false)
-	}
+// measureSync runs one client→server delta exchange and returns its
+// wire cost from the stats deltas of both nodes.
+func measureSync(client, server *syncNode) (int64, int64, time.Duration) {
 	cb, sb := client.Stats(), server.Stats()
 	start := time.Now()
 	if err := client.SyncWith(server.Addr()); err != nil {
@@ -83,6 +81,38 @@ func measureSync(client, server *syncNode, proto string) (int64, int64, time.Dur
 	bytes := (ca.BytesSent - cb.BytesSent) + (ca.BytesRecv - cb.BytesRecv)
 	commits := (ca.CommitsSent - cb.CommitsSent) + (sa.CommitsSent - sb.CommitsSent)
 	return bytes, commits, elapsed
+}
+
+// measureFull prices the full-history baseline for one exchange without
+// running it: the client's whole history out plus the server's whole
+// history back, each exported in process and written through the wire
+// codec to a counting writer. It runs after the delta exchange has
+// converged the pair, so the server's history is the merged one a
+// full-history reply would carry.
+func measureFull(client, server *syncNode) (int64, int64, time.Duration) {
+	start := time.Now()
+	var bytes, commits int64
+	for _, n := range []*syncNode{client, server} {
+		history, head, err := n.obj.Store().Export(n.obj.Branch())
+		if err != nil {
+			panic(err)
+		}
+		var cw countingWriter
+		if err := wire.WriteDeltaPacked(&cw, history, head); err != nil {
+			panic(err)
+		}
+		bytes += cw.n
+		commits += int64(len(history))
+	}
+	return bytes, commits, time.Since(start)
+}
+
+// measurePair returns the full and delta rows of one exchange.
+func measurePair(client, server *syncNode) (full, delta SyncCostRow) {
+	delta.Bytes, delta.Commits, delta.Elapsed = measureSync(client, server)
+	full.Bytes, full.Commits, full.Elapsed = measureFull(client, server)
+	full.Proto, delta.Proto = "full", "delta"
+	return full, delta
 }
 
 // SyncCost measures sync cost across the history sweep. Histories are
@@ -110,27 +140,22 @@ func pairSyncCost(history int, seed int64) []SyncCostRow {
 			syncInc(b)
 		}
 		if i%16 == 15 {
-			measureSync(a, b, "delta")
+			measureSync(a, b)
 		}
 	}
-	measureSync(a, b, "delta")
-	measureSync(a, b, "delta") // fully converged
+	measureSync(a, b)
+	measureSync(a, b) // fully converged
 
 	var rows []SyncCostRow
-	for _, proto := range []string{"full", "delta"} {
-		by, cm, el := measureSync(a, b, proto)
-		rows = append(rows, SyncCostRow{
-			History: history, Topology: "pair", Proto: proto, Phase: "resync",
-			Bytes: by, Commits: cm, Elapsed: el,
-		})
-	}
-	for _, proto := range []string{"full", "delta"} {
-		syncInc(a)
-		by, cm, el := measureSync(a, b, proto)
-		rows = append(rows, SyncCostRow{
-			History: history, Topology: "pair", Proto: proto, Phase: "fresh-op",
-			Bytes: by, Commits: cm, Elapsed: el,
-		})
+	for _, phase := range []string{"resync", "fresh-op"} {
+		if phase == "fresh-op" {
+			syncInc(a)
+		}
+		full, delta := measurePair(a, b)
+		for _, row := range []SyncCostRow{full, delta} {
+			row.History, row.Topology, row.Phase = history, "pair", phase
+			rows = append(rows, row)
+		}
 	}
 	return rows
 }
@@ -140,34 +165,35 @@ func ringSyncCost(history int, seed int64) []SyncCostRow {
 	for _, n := range nodes {
 		defer n.Close()
 	}
-	ringRound := func(proto string) (int64, int64, time.Duration) {
-		var bytes, commits int64
-		var elapsed time.Duration
+	ringRound := func() (full, delta SyncCostRow) {
 		for i := range nodes {
-			by, cm, el := measureSync(nodes[i], nodes[(i+1)%len(nodes)], proto)
-			bytes += by
-			commits += cm
-			elapsed += el
+			f, d := measurePair(nodes[i], nodes[(i+1)%len(nodes)])
+			full.Bytes, full.Commits, full.Elapsed = full.Bytes+f.Bytes, full.Commits+f.Commits, full.Elapsed+f.Elapsed
+			delta.Bytes, delta.Commits, delta.Elapsed = delta.Bytes+d.Bytes, delta.Commits+d.Commits, delta.Elapsed+d.Elapsed
 		}
-		return bytes, commits, elapsed
+		full.Proto, delta.Proto = "full", "delta"
+		return full, delta
+	}
+	deltaRound := func() {
+		for i := range nodes {
+			measureSync(nodes[i], nodes[(i+1)%len(nodes)])
+		}
 	}
 	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < history; i++ {
 		syncInc(nodes[r.Intn(len(nodes))])
 		if i%24 == 23 {
-			ringRound("delta")
+			deltaRound()
 		}
 	}
-	ringRound("delta")
-	ringRound("delta") // fully converged
+	deltaRound()
+	deltaRound() // fully converged
 
+	full, delta := ringRound()
 	var rows []SyncCostRow
-	for _, proto := range []string{"full", "delta"} {
-		by, cm, el := ringRound(proto)
-		rows = append(rows, SyncCostRow{
-			History: history, Topology: "ring", Proto: proto, Phase: "resync",
-			Bytes: by, Commits: cm, Elapsed: el,
-		})
+	for _, row := range []SyncCostRow{full, delta} {
+		row.History, row.Topology, row.Phase = history, "ring", "resync"
+		rows = append(rows, row)
 	}
 	return rows
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // TestSyncCostDeltaIsFlat asserts the acceptance property of the delta
-// engine: re-syncing an already-converged pair costs O(frontier) bytes —
-// flat in history length — while the legacy full protocol's cost grows
-// with the whole history.
+// engine: re-syncing an already-converged pair costs O(1) bytes — flat
+// in history length — while the full-history baseline's cost grows with
+// the whole history.
 func TestSyncCostDeltaIsFlat(t *testing.T) {
 	rows := SyncCost([]int{64, 512}, 1)
 	cost := map[string]int64{}
@@ -25,8 +25,7 @@ func TestSyncCostDeltaIsFlat(t *testing.T) {
 		if small == 0 || large == 0 {
 			t.Fatalf("%s: missing rows: %v", topo, cost)
 		}
-		// Flat within 2x across an 8x history growth (frontier sample
-		// density varies slightly with DAG shape).
+		// Flat within 2x across an 8x history growth.
 		if large > 2*small {
 			t.Errorf("%s: delta re-sync grew with history: %d -> %d bytes", topo, small, large)
 		}

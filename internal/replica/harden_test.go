@@ -2,14 +2,17 @@ package replica_test
 
 // Hardening regression tests: the inbound session cap under a dial
 // storm, goroutine hygiene when peers misbehave (malformed hellos,
-// mid-frame disconnects, Close racing in-flight sessions), and the
-// idle/session deadlines that cut off silent and dribbling peers.
+// mid-frame disconnects, Close racing in-flight sessions), the
+// idle/session deadlines that cut off silent and dribbling peers, and
+// the accept loop's backoff on listener errors.
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,5 +222,95 @@ func TestSessionTimeoutCutsDribblingPeer(t *testing.T) {
 	}
 	if d := time.Since(start); d >= 2*time.Second {
 		t.Fatalf("dribbling peer survived %v past the session deadline", d)
+	}
+}
+
+// flakyListener fails its first failures Accept calls with a synthetic
+// error (fd exhaustion, say), then delegates to the real listener. It
+// counts every Accept call.
+type flakyListener struct {
+	net.Listener
+	failures int64
+	calls    atomic.Int64
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.calls.Add(1) <= l.failures {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// flakyTransport is plain TCP whose listener is a flakyListener.
+type flakyTransport struct {
+	replica.TCPTransport
+	failures int64
+	ln       *flakyListener
+}
+
+func (t *flakyTransport) Listen(addr string) (net.Listener, error) {
+	ln, err := t.TCPTransport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	t.ln = &flakyListener{Listener: ln, failures: t.failures}
+	return t.ln, nil
+}
+
+// newFlakyNode serves a counter object through a listener whose first
+// failures Accept calls fail.
+func newFlakyNode(t *testing.T, name string, id int, failures int64) (*counterNode, *flakyTransport) {
+	t.Helper()
+	tr := &flakyTransport{failures: failures}
+	n, err := replica.NewNode(name, id, replica.WithTransport(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
+		n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return &counterNode{Node: n, obj: obj}, tr
+}
+
+// TestAcceptErrorsBackOff: a listener failing Accept is retried with
+// exponential backoff instead of a busy loop, the node serves normally
+// once Accept recovers, and Close interrupts a backoff wait promptly.
+func TestAcceptErrorsBackOff(t *testing.T) {
+	stuck, tr := newFlakyNode(t, "stuck", 3, 1<<62)
+	time.Sleep(50 * time.Millisecond)
+	// Backoff from 5 ms doubling: calls at ~0, 5, 15, 35 ms. A busy loop
+	// would have made thousands.
+	if calls := tr.ln.calls.Load(); calls > 8 {
+		t.Fatalf("%d Accept calls within 50ms of failing, want backoff", calls)
+	}
+	// At ~0.7s the loop has just entered a 640 ms backoff wait (calls at
+	// ~75, 155, 315 and 635 ms), which Close must cut short.
+	time.Sleep(650 * time.Millisecond)
+	start := time.Now()
+	stuck.Close()
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Fatalf("Close during an Accept backoff took %v", d)
+	}
+
+	// A listener that fails a few times, then recovers, serves normally.
+	srv, _ := newFlakyNode(t, "srv", 1, 5)
+	inc(t, srv, 4)
+	cli := newCounterNode(t, "cli", 2)
+	if err := cli.SyncWith(srv.Addr()); err != nil {
+		t.Fatalf("sync after Accept recovered: %v", err)
+	}
+	if v := peek(t, cli); v != 4 {
+		t.Fatalf("client = %d, want 4", v)
+	}
+	start = time.Now()
+	srv.Close()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("Close took %v", d)
 	}
 }

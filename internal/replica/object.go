@@ -18,25 +18,13 @@ type Object interface {
 	// Datatype is the registered datatype name; hellos carry it so two
 	// nodes never merge states of different types under one object name.
 	Datatype() string
-	// Frontier summarizes the node's branch for sync negotiation.
-	Frontier() (store.Frontier, error)
-	// Export returns the branch's full history (legacy v1 transfers).
-	Export() ([]store.ExportedCommit, store.Hash, error)
-	// ExportSince returns the commits a peer with the given have-set is
-	// missing. When packed, commits ship in the patch-bearing wire form
-	// (for peers that negotiated wire.CapPatch); otherwise every commit
-	// carries its full state.
-	ExportSince(have []store.Hash, packed bool) ([]store.ExportedCommit, store.Hash, error)
-	// Integrate installs a peer's (possibly partial) history under a
-	// tracking branch and pulls it into the node's branch.
-	Integrate(track string, commits []store.ExportedCommit, head store.Hash) error
-	// IntegrateExact is Integrate for the reconciliation dialect: it
-	// additionally reports how many of the shipped commits were already
-	// present (redundant re-ships — zero when the negotiation resolved
-	// the exact diff), which shipped commits were freshly installed
-	// (commits the peer provably holds, excluded from any reply), and
-	// which commits the exchange minted locally (merge commits a reply
-	// must ship on top of the peer's want list).
+	// IntegrateExact installs a peer's (possibly partial) history under a
+	// tracking branch and pulls it into the node's branch. It reports how
+	// many of the shipped commits were already present (redundant
+	// re-ships), which shipped commits were freshly installed (commits
+	// the peer provably holds, excluded from any reply), and which
+	// commits the exchange minted locally (merge commits a reply must
+	// ship on top of the peer's want list).
 	IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (redundant int, fresh, minted []store.Hash, err error)
 	// Head returns the node branch's current head hash.
 	Head() (store.Hash, error)
@@ -51,19 +39,15 @@ type Object interface {
 	ReconRange(x, y recon.Item) (recon.Fingerprint, int)
 	ReconItems(x, y recon.Item, max int) []recon.Item
 	ReconSelect(x, y recon.Item, k int) (recon.Item, bool)
-	// ExportSet exports exactly the given commit set (plus the branch
-	// head as graft point) — the ship phase after a reconciliation
-	// resolved the precise missing commits.
-	ExportSet(ship map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error)
 	// BeginInstallCapture / EndInstallCapture / ExportSetCapture expose
 	// the store's install-capture tokens: a reconciliation session arms
-	// a capture before its first probe and exports through it, so
-	// commits a concurrent local Apply installs mid-descent still reach
-	// the ship set atomically with the exported head (store.Store has
-	// the full contract).
+	// a capture before its first probe and exports exactly its ship set
+	// through it, so commits a concurrent local Apply installs
+	// mid-descent still reach the ship set atomically with the exported
+	// head (store.Store has the full contract).
 	BeginInstallCapture() int
 	EndInstallCapture(token int) []store.Hash
-	ExportSetCapture(ship map[store.Hash]bool, token int, skip map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error)
+	ExportSetCapture(ship map[store.Hash]bool, token int, skip map[store.Hash]bool) ([]store.ExportedCommit, store.Hash, error)
 	// FlushStorage pushes buffered persistence out and surfaces any
 	// sticky storage error; a no-op on in-memory objects.
 	FlushStorage() error
@@ -244,42 +228,19 @@ func (o *TypedObject[S, Op, Val]) State() (S, error) {
 	return o.st.Head(o.branch)
 }
 
-// Frontier implements Object.
-func (o *TypedObject[S, Op, Val]) Frontier() (store.Frontier, error) {
-	return o.st.Frontier(o.branch)
-}
-
-// Export implements Object.
-func (o *TypedObject[S, Op, Val]) Export() ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.Export(o.branch)
-}
-
-// ExportSince implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSince(have []store.Hash, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	if packed {
-		return o.st.ExportSincePacked(o.branch, have)
-	}
-	return o.st.ExportSince(o.branch, have)
-}
-
-// Integrate implements Object. A pull that moves the node branch's head
-// fires the object's watchers and re-notifies the mesh daemon: the news
-// a merge brought in is itself pushed onward, so commits cascade
+// IntegrateExact implements Object. A pull that moves the node branch's
+// head fires the object's watchers and re-notifies the mesh daemon: the
+// news a merge brought in is itself pushed onward, so commits cascade
 // hop-by-hop through ring and mesh topologies instead of waiting out a
 // full anti-entropy round per hop. (The cascade terminates: once peers
-// converge, re-syncs ship zero commits and move no heads.)
-func (o *TypedObject[S, Op, Val]) Integrate(track string, commits []store.ExportedCommit, head store.Hash) error {
-	_, _, _, err := o.IntegrateExact(track, commits, head)
-	return err
-}
-
-// IntegrateExact implements Object. The captured import and pull
-// variants separate the two kinds of news an exchange creates — commits
-// the peer shipped that were already present (redundant), and commits
-// the pull minted locally (merges the peer has never seen) — with each
-// record cut inside the store's own critical section, so concurrent
-// local Applies can never blur the attribution (their commits land only
-// in the session-long capture the reconciliation handlers hold).
+// converge, re-syncs ship zero commits and move no heads.) The captured
+// import and pull variants separate the two kinds of news an exchange
+// creates — commits the peer shipped that were already present
+// (redundant), and commits the pull minted locally (merges the peer has
+// never seen) — with each record cut inside the store's own critical
+// section, so concurrent local Applies can never blur the attribution
+// (their commits land only in the session-long capture the
+// reconciliation handlers hold).
 func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (int, []store.Hash, []store.Hash, error) {
 	before, _ := o.st.HeadHash(o.branch)
 	fresh, importErr := o.st.ImportCaptured(track, commits, head)
@@ -328,11 +289,6 @@ func (o *TypedObject[S, Op, Val]) ReconSelect(x, y recon.Item, k int) (recon.Ite
 	return o.st.ReconSelect(x, y, k)
 }
 
-// ExportSet implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSet(ship map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.ExportSet(o.branch, ship, packed)
-}
-
 // BeginInstallCapture implements Object.
 func (o *TypedObject[S, Op, Val]) BeginInstallCapture() int { return o.st.BeginInstallCapture() }
 
@@ -342,8 +298,8 @@ func (o *TypedObject[S, Op, Val]) EndInstallCapture(token int) []store.Hash {
 }
 
 // ExportSetCapture implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, skip map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.ExportSetCapture(o.branch, ship, token, skip, packed)
+func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, skip map[store.Hash]bool) ([]store.ExportedCommit, store.Hash, error) {
+	return o.st.ExportSetCapture(o.branch, ship, token, skip)
 }
 
 // FlushStorage implements Object.

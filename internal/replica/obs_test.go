@@ -1,8 +1,7 @@
 package replica_test
 
-// Observability tests: the negotiation-ladder tier counters partition
-// the session stats truthfully, the Stats/Trace/Snapshot surfaces stay
-// race-free under peer churn, and the live debug endpoint serves
+// Observability tests: the Stats/Trace/Snapshot surfaces stay race-free
+// under peer churn, and the live debug endpoint serves
 // parseable metrics and a round-trippable snapshot, then shuts down
 // with the node without leaking its goroutines.
 
@@ -42,96 +41,6 @@ func newObsCounterNode(t *testing.T, name string, id int, opts ...replica.NodeOp
 	}
 	t.Cleanup(func() { n.Close() })
 	return &counterNode{Node: n, obj: obj}
-}
-
-// tiersOf extracts the four ladder-tier counters for assertion messages.
-func tiersOf(s replica.SyncStats) [4]int64 {
-	return [4]int64{s.ReconSessions, s.PackedSessions, s.PlainSessions, s.V1Sessions}
-}
-
-// checkTierPartition: the first three tiers partition DeltaSyncs and v1
-// mirrors FullSyncs — on every node, always.
-func checkTierPartition(t *testing.T, n *counterNode) {
-	t.Helper()
-	s := n.Stats()
-	if got := s.ReconSessions + s.PackedSessions + s.PlainSessions; got != s.DeltaSyncs {
-		t.Fatalf("%s: tier counters %v sum to %d, want DeltaSyncs %d",
-			n.Name(), tiersOf(s), got, s.DeltaSyncs)
-	}
-	if s.V1Sessions != s.FullSyncs {
-		t.Fatalf("%s: V1Sessions %d != FullSyncs %d", n.Name(), s.V1Sessions, s.FullSyncs)
-	}
-}
-
-// TestTierCountersRecon: a default pairing lands on the reconciliation
-// tier and counts nothing anywhere else.
-func TestTierCountersRecon(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
-	inc(t, a, 5)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*counterNode{a, b} {
-		s := n.Stats()
-		if s.ReconSessions == 0 || s.PackedSessions != 0 || s.PlainSessions != 0 || s.V1Sessions != 0 {
-			t.Fatalf("%s: tiers %v, want only recon sessions", n.Name(), tiersOf(s))
-		}
-		checkTierPartition(t, n)
-	}
-}
-
-// TestTierCountersReconDisabledPeer is the ladder regression pin: a
-// peer with reconciliation switched off must drag the pairing down to
-// exactly the packed-v2 tier — no recon sessions, no plain fallback.
-func TestTierCountersReconDisabledPeer(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
-	b.SetReconEnabled(false)
-	inc(t, a, 3)
-	inc(t, b, 4)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*counterNode{a, b} {
-		s := n.Stats()
-		if s.PackedSessions == 0 {
-			t.Fatalf("%s: no packed sessions counted, tiers %v", n.Name(), tiersOf(s))
-		}
-		if s.ReconSessions != 0 || s.PlainSessions != 0 || s.V1Sessions != 0 {
-			t.Fatalf("%s: recon-disabled pairing leaked onto other tiers: %v", n.Name(), tiersOf(s))
-		}
-		checkTierPartition(t, n)
-	}
-}
-
-// TestTierCountersV1: the legacy protocol counts on the v1 tier, and
-// the tier also lands in the session-outcome metric when observability
-// is on.
-func TestTierCountersV1(t *testing.T) {
-	a := newObsCounterNode(t, "a", 1, replica.WithObservability())
-	b := newCounterNode(t, "b", 2)
-	a.SetFullSyncOnly(true)
-	inc(t, a, 2)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	s := a.Stats()
-	if s.V1Sessions == 0 || s.DeltaSyncs != 0 {
-		t.Fatalf("full-sync-only client: tiers %v, DeltaSyncs %d; want only v1", tiersOf(s), s.DeltaSyncs)
-	}
-	checkTierPartition(t, a)
-	checkTierPartition(t, b)
-	found := false
-	for _, m := range a.Registry().Snapshot() {
-		if m.Name == "peepul_replica_sessions_total" &&
-			m.Labels["tier"] == "v1" && m.Labels["outcome"] == "ok" && m.Value > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registry holds no ok v1 session sample")
-	}
 }
 
 // TestStatsSurfacesRaceFree hammers every read surface — Stats,
@@ -181,7 +90,6 @@ func TestStatsSurfacesRaceFree(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	checkTierPartition(t, a)
 }
 
 // expositionLine is the grammar every non-comment /metrics line must
@@ -235,7 +143,7 @@ func TestDebugEndpoint(t *testing.T) {
 			t.Fatalf("malformed exposition line: %q", line)
 		}
 	}
-	if !strings.Contains(metrics, `peepul_replica_sessions_total{role="client",tier="recon",outcome="ok"}`) {
+	if !strings.Contains(metrics, `peepul_replica_sessions_total{role="client",outcome="ok"}`) {
 		t.Fatalf("scrape is missing the client session counter:\n%s", metrics)
 	}
 
@@ -263,7 +171,7 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 
 	trace := get("/debug/peepul/trace?format=text")
-	if !strings.Contains(trace, "client") || !strings.Contains(trace, "recon") {
+	if !strings.Contains(trace, "client") || !strings.Contains(trace, "descend[counter]") {
 		t.Fatalf("text trace shows no recon client session:\n%s", trace)
 	}
 

@@ -1,9 +1,9 @@
 package replica_test
 
-// Tests for the range-fingerprint reconciliation dialect: the O(1)
-// converged re-sync it promises, the exactness of its diffs (zero
-// redundant commits), the per-object counters it adds, and every rung of
-// the downgrade ladder down to the legacy one-shot protocol.
+// Tests for range-fingerprint reconciliation: the O(1) converged re-sync
+// it promises (also on first contact between peers), the exactness of
+// its diffs (zero redundant commits), its per-object counters, and the
+// refusal of a peer that does not follow the protocol.
 
 import (
 	"fmt"
@@ -29,10 +29,10 @@ func convergePair(t *testing.T, a, b *counterNode) {
 	}
 }
 
-// TestReconConvergedResyncO1 is the acceptance core of the dialect: a
+// TestReconConvergedResyncO1 is the acceptance core of the protocol: a
 // converged pair's re-sync costs O(1) frames and zero commits, and the
 // cost is flat in history depth — the same bound at 10² and at 10⁴
-// commits, where a sampled frontier would still ship its whole sample.
+// commits.
 func TestReconConvergedResyncO1(t *testing.T) {
 	resyncBytes := func(history int, idBase int) int64 {
 		a := newCounterNode(t, fmt.Sprintf("a%d", history), idBase)
@@ -76,7 +76,7 @@ func TestReconConvergedResyncO1(t *testing.T) {
 	}
 }
 
-// TestReconExactDiffNoRedundant pins the dialect's contract on deep
+// TestReconExactDiffNoRedundant pins the protocol's contract on deep
 // divergence: after a long shared prefix, two sides that each diverge by
 // d commits exchange exactly their diffs — no commit crosses the wire
 // that the receiver already held.
@@ -137,8 +137,10 @@ func TestReconStatsPerObject(t *testing.T) {
 	if cb.RangesSent != 0 {
 		t.Fatalf("server sent no probes, counted %d", cb.RangesSent)
 	}
-	if na := a.Stats(); na.RangesSent != ca.RangesSent {
-		t.Fatalf("node aggregate %d probes, object %d", na.RangesSent, ca.RangesSent)
+	// The node aggregate adds the session's opening span probe, which
+	// belongs to no single object.
+	if na := a.Stats(); na.RangesSent != ca.RangesSent+1 {
+		t.Fatalf("node aggregate %d probes, object %d plus one span", na.RangesSent, ca.RangesSent)
 	}
 	if ca.RedundantCommits != 0 || cb.RedundantCommits != 0 {
 		t.Fatalf("redundant commits on an exact exchange: client %d, server %d",
@@ -149,124 +151,40 @@ func TestReconStatsPerObject(t *testing.T) {
 	}
 }
 
-// TestReconDisabledPeerDowngrade: a recon client meeting a server with
-// the dialect switched off converges over the patch dialect on the same
-// connection — the ack simply does not echo the capability.
-func TestReconDisabledPeerDowngrade(t *testing.T) {
+// TestReconFirstContactConvergedO1: two nodes that converged through a
+// third and have never talked to each other settle their first direct
+// sync with the span probe alone — zero commits and the same small byte
+// ceiling as the recon gate, however deep the shared history.
+func TestReconFirstContactConvergedO1(t *testing.T) {
 	a := newCounterNode(t, "a", 1)
 	b := newCounterNode(t, "b", 2)
-	b.SetReconEnabled(false)
-	inc(t, a, 2)
-	inc(t, b, 5)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if av, bv := peek(t, a), peek(t, b); av != 7 || bv != 7 {
-		t.Fatalf("a=%d b=%d, want 7", av, bv)
-	}
-	sa := a.Stats()
-	if sa.DeltaSyncs != 1 || sa.Fallbacks != 0 || sa.FullSyncs != 0 {
-		t.Fatalf("downgrade must stay a delta sync: %+v", sa)
-	}
-	if sa.RangesSent != 0 {
-		t.Fatalf("no probes may flow to a recon-disabled peer: %+v", sa)
-	}
-	// And the reverse: a recon-disabled client never advertises the
-	// capability, so a recon-capable server stays on the patch dialect.
 	c := newCounterNode(t, "c", 3)
-	d := newCounterNode(t, "d", 4)
-	c.SetReconEnabled(false)
-	inc(t, c, 1)
-	inc(t, d, 2)
-	if err := c.SyncWith(d.Addr()); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 500; i++ {
+		inc(t, a, 1)
+		inc(t, b, 1)
 	}
-	if sd := d.Stats(); sd.RangesRecv != 0 {
-		t.Fatalf("recon-disabled client still triggered %d probes", sd.RangesRecv)
+	convergePair(t, a, c)
+	convergePair(t, b, c)
+	convergePair(t, a, c)
+	ha, _ := a.obj.Store().HeadHash(a.obj.Branch())
+	hb, _ := b.obj.Store().HeadHash(b.obj.Branch())
+	if ha != hb {
+		t.Fatal("a and b did not converge through c")
 	}
-	if sc := c.Stats(); sc.DeltaSyncs != 1 || sc.Fallbacks != 0 {
-		t.Fatalf("patch dialect must complete: %+v", sc)
+	if b.Stats().RangesRecv != 0 {
+		t.Fatal("b served a session before ever meeting a")
 	}
-}
-
-// TestReconStaleMemoSpanRefused: a peer that spoke recon once and was
-// then switched off refuses the next round's span probe; the client
-// clears its memo, retries the session without the span, and the pair
-// still converges on the patch dialect.
-func TestReconStaleMemoSpanRefused(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
-	inc(t, a, 1)
-	inc(t, b, 2)
-	if err := a.SyncWith(b.Addr()); err != nil { // memorizes b as recon-capable
-		t.Fatal(err)
-	}
-	b.SetReconEnabled(false)
-	inc(t, a, 4)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if av, bv := peek(t, a), peek(t, b); av != 7 || bv != 7 {
-		t.Fatalf("a=%d b=%d, want 7 after the stale-memo round", av, bv)
-	}
-	if sa := a.Stats(); sa.Fallbacks != 0 || sa.FullSyncs != 0 {
-		t.Fatalf("span refusal must not cascade past the delta dialects: %+v", sa)
-	}
-	// The memo is gone: the following round opens without a span probe
-	// and completes directly on the patch dialect.
-	inc(t, a, 1)
 	before := a.Stats()
 	if err := a.SyncWith(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if after := a.Stats(); after.RangesSent != before.RangesSent {
-		t.Fatalf("cleared memo must suppress span probes: %d -> %d", before.RangesSent, after.RangesSent)
+	after := a.Stats()
+	if moved := commitsMoved(before, after); moved != 0 {
+		t.Fatalf("first contact of a converged pair moved %d commits, want 0", moved)
 	}
-}
-
-// TestReconLadderToPlainV2 runs the recon client against the strict
-// pre-capability v2 server: the capability hello is refused outright and
-// the client lands on the plain delta dialect, not v1.
-func TestReconLadderToPlainV2(t *testing.T) {
-	addr, st := plainV2Server(t)
-	if _, err := st.Apply("v2", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
-		t.Fatal(err)
-	}
-	a := newCounterNode(t, "a", 1)
-	inc(t, a, 2)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	sa := a.Stats()
-	if sa.DeltaSyncs != 1 || sa.FullSyncs != 0 || sa.Fallbacks != 0 {
-		t.Fatalf("plain-v2 downgrade stats: %+v", sa)
-	}
-	if sa.RangesSent != 0 || sa.PatchesSent != 0 {
-		t.Fatalf("plain dialect carries neither probes nor patches: %+v", sa)
-	}
-	if v := read(t, a); v != 7 {
-		t.Fatalf("a = %d, want 7", v)
-	}
-}
-
-// TestReconLadderToLegacyV1 runs the recon client all the way down the
-// ladder to the one-shot v1 protocol.
-func TestReconLadderToLegacyV1(t *testing.T) {
-	addr, legacy := legacyV1Server(t)
-	if _, err := legacy.Apply("legacy", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
-		t.Fatal(err)
-	}
-	a := newCounterNode(t, "a", 1)
-	inc(t, a, 2)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	sa := a.Stats()
-	if sa.Fallbacks != 1 || sa.FullSyncs != 1 || sa.DeltaSyncs != 0 {
-		t.Fatalf("v1 fallback stats: %+v", sa)
-	}
-	if v := read(t, a); v != 7 {
-		t.Fatalf("a = %d, want 7", v)
+	const ceiling = 1024
+	if by := bytesMoved(before, after); by > ceiling {
+		t.Fatalf("first contact of a converged pair cost %d bytes, ceiling %d", by, ceiling)
 	}
 }
 

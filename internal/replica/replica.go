@@ -6,24 +6,30 @@
 // A Node hosts any number of named replicated objects, the way an Irmin
 // repository hosts many keys: each object is an independent versioned
 // store (internal/store) of one registered datatype. One sync connection
-// negotiates and delta-syncs every object the two nodes share. Per object,
-// a sync is an incremental delta exchange (protocol v2): the client opens
-// with a hello carrying the object's name, its datatype, and the branch
-// frontier — head hash plus a sampled have-set — the server answers with
-// its own frontier (or a miss for objects it does not host), and then each
-// side streams only the commits the other's frontier does not dominate.
+// syncs every object the two nodes share, and there is one protocol:
+//
+//   - A session that covers every hosted object opens with a whole-node
+//     span probe: a fingerprint folded over every object's commit set,
+//     name and head. A match settles a converged pair in one round trip.
+//   - Otherwise, per object, the client sends a hello {node, object,
+//     datatype, head}. The server answers with an ack carrying its own
+//     head, or with a miss for objects it does not host.
+//   - A range-fingerprint descent over the two commit sets
+//     (internal/recon) resolves the exact symmetric difference.
+//   - A want list and one packed delta in each direction ship exactly
+//     the missing commits, each state as a patch against its parent's
+//     where possible.
+//
 // The receiver grafts the partial DAG onto the commits it already holds
 // (content addressing deduplicates anything shipped twice) and performs a
 // store Pull, whose DAG-based lowest common ancestor is correct even when
 // history reached a node indirectly through third parties — ring and mesh
 // gossip topologies converge, which per-pair state exchange cannot
-// achieve. A re-sync of an already-converged pair therefore costs
-// O(frontier) bytes, not O(history). Peers that do not speak the frontier
-// negotiation (or fail it before it starts) are handled by falling back to
-// the legacy v1 one-shot full-history exchange. Merging is the store's
-// job and keeps its guarantees verbatim: every pull merges over a base
-// carrying exactly the operations common to both heads (Ψ_lca by
-// construction), and fast-forwards adopt commits.
+// achieve. A re-sync of an already-converged pair therefore costs O(1)
+// frames, not O(history). Merging is the store's job and keeps its
+// guarantees verbatim: every pull merges over a base carrying exactly the
+// operations common to both heads (Ψ_lca by construction), and
+// fast-forwards adopt commits.
 //
 // Replication can be always-on: every node embeds an internal/mesh
 // engine. Peers configured with WithPeers (or added with AddPeer) get a
@@ -77,18 +83,13 @@ var ErrProtocol = errors.New("replica: protocol error")
 // ErrObject is wrapped by object lookup and registration failures.
 var ErrObject = errors.New("replica: object error")
 
-// errFallback marks a failed v2 negotiation; SyncWith retries with the
-// legacy full-history protocol.
-var errFallback = errors.New("replica: delta negotiation unavailable")
-
 // ErrPeerBusy reports that the peer declined to merge because it was
 // mid-exchange itself and the deadlock tie-break told it not to wait.
 // The state is momentary: a retry (the mesh daemon's next round, or the
 // caller repeating SyncWith) succeeds once the peer's exchange ends.
 var ErrPeerBusy = errors.New("replica: peer busy")
 
-// busyMsg is the wire form of ErrPeerBusy, recognized by both protocol
-// versions' clients.
+// busyMsg is the wire form of ErrPeerBusy.
 const busyMsg = "busy: node is mid-exchange, retry"
 
 // Merge-lock patience: how long a handler on the busy-reject side of the
@@ -111,16 +112,13 @@ type SyncStats struct {
 	BytesRecv   int64
 	CommitsSent int64
 	CommitsRecv int64
-	// DeltaSyncs and FullSyncs count completed exchanges by protocol, one
-	// per role (a two-node delta exchange increments each node once).
+	// DeltaSyncs counts completed per-object exchanges, one per role (a
+	// two-node exchange increments each node once).
 	DeltaSyncs int64
-	FullSyncs  int64
-	// Fallbacks counts delta negotiations abandoned for the full path.
-	Fallbacks int64
 	// Misses counts hellos answered with "object not hosted here".
 	Misses int64
 	// PatchesSent and PatchesRecv count commits that crossed the wire as
-	// binary patches rather than full states — the packed dialect's win.
+	// binary patches rather than full states.
 	PatchesSent int64
 	PatchesRecv int64
 	// RangesSent and RangesRecv count reconciliation range probes, by
@@ -128,52 +126,23 @@ type SyncStats struct {
 	// as a server. A converged pair exchanges exactly one per re-sync.
 	RangesSent int64
 	RangesRecv int64
-	// RedundantCommits counts received commits that were already present
-	// — re-ships a sampled frontier failed to subtract. The
-	// reconciliation dialect's contract is to keep this at zero.
+	// RedundantCommits counts received commits that were already
+	// present. Reconciliation resolves the exact diff, so this stays zero
+	// unless a concurrent exchange delivered the same commits first.
 	RedundantCommits int64
 	// InboundShed counts inbound connections closed unserved because the
 	// concurrent-session cap (WithMaxInbound) was reached.
 	InboundShed int64
-	// ReconSessions, PackedSessions, PlainSessions and V1Sessions count
-	// completed per-object exchanges by the negotiation-ladder tier they
-	// ran at: range-fingerprint reconciliation, packed (patch-bearing)
-	// delta, plain (full-state) delta, and the legacy v1 full-history
-	// protocol. The first three partition DeltaSyncs; V1Sessions mirrors
-	// FullSyncs. They pin down which rung a pairing actually negotiated.
-	ReconSessions  int64
-	PackedSessions int64
-	PlainSessions  int64
-	V1Sessions     int64
 }
 
 type syncStats struct {
 	bytesSent, bytesRecv     atomic.Int64
 	commitsSent, commitsRecv atomic.Int64
-	deltaSyncs, fullSyncs    atomic.Int64
-	fallbacks, misses        atomic.Int64
+	deltaSyncs, misses       atomic.Int64
 	patchesSent, patchesRecv atomic.Int64
 	rangesSent, rangesRecv   atomic.Int64
 	redundantCommits         atomic.Int64
 	inboundShed              atomic.Int64
-	reconSessions            atomic.Int64
-	packedSessions           atomic.Int64
-	plainSessions            atomic.Int64
-	v1Sessions               atomic.Int64
-}
-
-// addTier counts one completed per-object exchange at its ladder tier.
-func (s *syncStats) addTier(t tier) {
-	switch t {
-	case tierRecon:
-		s.reconSessions.Add(1)
-	case tierPacked:
-		s.packedSessions.Add(1)
-	case tierPlain:
-		s.plainSessions.Add(1)
-	case tierV1:
-		s.v1Sessions.Add(1)
-	}
 }
 
 func (s *syncStats) snapshot() SyncStats {
@@ -183,8 +152,6 @@ func (s *syncStats) snapshot() SyncStats {
 		CommitsSent:      s.commitsSent.Load(),
 		CommitsRecv:      s.commitsRecv.Load(),
 		DeltaSyncs:       s.deltaSyncs.Load(),
-		FullSyncs:        s.fullSyncs.Load(),
-		Fallbacks:        s.fallbacks.Load(),
 		Misses:           s.misses.Load(),
 		PatchesSent:      s.patchesSent.Load(),
 		PatchesRecv:      s.patchesRecv.Load(),
@@ -192,27 +159,16 @@ func (s *syncStats) snapshot() SyncStats {
 		RangesRecv:       s.rangesRecv.Load(),
 		RedundantCommits: s.redundantCommits.Load(),
 		InboundShed:      s.inboundShed.Load(),
-		ReconSessions:    s.reconSessions.Load(),
-		PackedSessions:   s.packedSessions.Load(),
-		PlainSessions:    s.plainSessions.Load(),
-		V1Sessions:       s.v1Sessions.Load(),
 	}
 }
 
 // callState is one client exchange's in-flight context: the byte and
-// commit counters feeding the mesh Report, the flight-recorder span,
-// and the ladder tier the exchange settled at. span is nil (and every
-// use of it a no-op) when the node runs without observability.
+// commit counters feeding the mesh Report and the flight-recorder span.
+// span is nil (and every use of it a no-op) when the node runs without
+// observability.
 type callState struct {
 	stats syncStats
 	span  *spanRec
-	tier  tier
-}
-
-// object records one completed per-object exchange at tier t.
-func (cs *callState) object(t tier) {
-	cs.tier = t
-	cs.span.object(t)
 }
 
 // countPatches reports how many of the commits travel as patches.
@@ -369,26 +325,7 @@ type Node struct {
 	// no goroutines) until WithPeers or AddPeer names some.
 	engine *mesh.Engine
 
-	total    syncStats
-	fullOnly atomic.Bool
-	// reconOff disables the reconciliation dialect on both roles: the
-	// node neither advertises nor echoes wire.CapRecon, so pairings
-	// converge on the frontier-sampling dialect. Benchmarks use it as
-	// the baseline switch; tests use it to pin the downgrade ladder.
-	reconOff atomic.Bool
-	// plainPeers remembers addresses that rejected the capability hello,
-	// so periodic re-syncs with a pre-capability peer skip the doomed
-	// probe connection instead of paying it every round. Like the
-	// fullOnly switch it is best-effort session state: a peer upgraded
-	// in place keeps getting the plain dialect until this node restarts.
-	plainPeers sync.Map // addr -> struct{}
-	// reconPeers remembers addresses that echoed wire.CapRecon, the
-	// confidence gate for the two cheap openings of the recon dialect —
-	// the whole-node span probe and head-only hello frontiers. Both
-	// degrade safely when the memo goes stale (a span refusal clears it
-	// and the round retries; a head-only frontier only costs re-shipped
-	// commits), so like plainPeers it is best-effort session state.
-	reconPeers sync.Map // addr -> struct{}
+	total syncStats
 
 	ln     net.Listener
 	closed chan struct{}
@@ -519,39 +456,12 @@ func (n *Node) ObjectStats(object string) SyncStats {
 	return e.stats.snapshot()
 }
 
-// SetFullSyncOnly forces outgoing syncs onto the legacy v1 full-history
-// protocol (the serving side always speaks both). Benchmarks use it to
-// compare protocols; tests use it to pin down the fallback path.
-func (n *Node) SetFullSyncOnly(v bool) { n.fullOnly.Store(v) }
-
-// SetReconEnabled switches the set-reconciliation dialect on or off
-// (default on) for both roles: disabled, the node negotiates the
-// frontier-sampling dialects instead. Benchmarks use it to compare
-// negotiation strategies; tests use it to pin the downgrade ladder.
-func (n *Node) SetReconEnabled(v bool) { n.reconOff.Store(!v) }
-
-func (n *Node) reconEnabled() bool { return !n.reconOff.Load() }
-
 // entry returns the object entry for object, if hosted.
 func (n *Node) entry(object string) (*objectEntry, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	e, ok := n.objects[object]
 	return e, ok
-}
-
-// soleEntry returns the node's only object, for legacy v1 requests that
-// predate object naming.
-func (n *Node) soleEntry() (string, *objectEntry, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.objects) != 1 {
-		return "", nil, false
-	}
-	for name, e := range n.objects {
-		return name, e, true
-	}
-	return "", nil, false // unreachable
 }
 
 // Listen starts serving sync requests on addr ("127.0.0.1:0" picks a free
@@ -618,23 +528,38 @@ func (n *Node) Close() error {
 	return n.closeErr
 }
 
+// Accept-error backoff: a listener that keeps failing (fd exhaustion,
+// say) is retried after acceptBackoffMin, doubling up to
+// acceptBackoffMax, instead of spinning a core.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 // serve accepts inbound sync sessions, one handler goroutine each, with
 // concurrency capped by a semaphore (WithMaxInbound): a dial storm gets
 // its excess connections closed promptly instead of an unbounded
-// goroutine pile-up (counted in SyncStats.InboundShed).
+// goroutine pile-up (counted in SyncStats.InboundShed). Accept errors
+// back off exponentially, as net/http does; the wait watches n.closed so
+// Close stays prompt.
 func (n *Node) serve() {
 	defer n.wg.Done()
 	sem := make(chan struct{}, n.cfg.inboundLimit())
+	var backoff time.Duration
 	for {
 		conn, err := n.ln.Accept()
 		if err != nil {
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			t := time.NewTimer(backoff)
 			select {
 			case <-n.closed:
+				t.Stop()
 				return
-			default:
-				continue
+			case <-t.C:
 			}
+			continue
 		}
+		backoff = 0
 		select {
 		case sem <- struct{}{}:
 		default:
@@ -692,22 +617,20 @@ func (n *Node) acquireMergeLock(client string) bool {
 	}
 }
 
-// reconSession is the per-connection state of a reconciliation-dialect
-// exchange: set by a hello that negotiated wire.CapRecon, consulted by
-// the probe and want frames that follow on the same session, reset by
-// the next hello. Sessions are single-goroutine, so no locking. token
-// is a store install capture armed at the hello ack and consumed by the
-// want handler's export: local commits installed while the descent is
-// in flight (an Apply takes only the store lock, not the merge lock)
-// would otherwise be invisible to both the probes and the want list,
-// and a reply minted on top of them would graft onto commits the client
-// has never heard of.
+// reconSession is the per-connection state of one object's exchange:
+// set by the hello, consulted by the probe and want frames that follow
+// on the same session, reset by the next hello. Sessions are
+// single-goroutine, so no locking. token is a store install capture
+// armed at the hello ack and consumed by the want handler's export:
+// local commits installed while the descent is in flight (an Apply takes
+// only the store lock, not the merge lock) would otherwise be invisible
+// to both the probes and the want list, and a reply minted on top of
+// them would graft onto commits the client has never heard of.
 type reconSession struct {
-	active    bool
-	e         *objectEntry
-	hello     wire.Hello
-	peerPatch bool
-	token     int
+	active bool
+	e      *objectEntry
+	hello  wire.Hello
+	token  int
 	// probes counts the range probes answered this exchange — the
 	// server-side descent depth, observed when the want frame ends it.
 	probes int
@@ -723,18 +646,15 @@ func (rs *reconSession) release() {
 }
 
 // handle serves one inbound sync session. A session is a sequence of
-// per-object exchanges on a single connection: each v2 hello negotiates
-// and delta-syncs one named object — a hello that negotiated the recon
-// dialect is instead followed by range probes and a want/delta finish on
-// the same session — and the session ends when the client hangs up. A
+// per-object exchanges on a single connection — a hello, range probes,
+// then a want/delta finish — and ends when the client hangs up. A
 // whole-node span probe may open a session (one frame confirms a
-// converged pair). A v1 request gets the legacy one-shot exchange and
-// closes the session.
+// converged pair).
 func (n *Node) handle(conn *countedConn) {
 	start := time.Now()
 	sp := n.newSpan("server", "")
 	// aborted marks a session this side ended on a violation; sessErr
-	// carries the read error when the transport (not the dialect) broke,
+	// carries the read error when the transport (not the protocol) broke,
 	// so the span and outcome metric report the true failure class.
 	aborted := false
 	var sessErr error
@@ -753,7 +673,7 @@ func (n *Node) handle(conn *countedConn) {
 			} else if aborted {
 				outcome = "violation"
 			}
-			m.session("server", tierFromName(sp.tierName()), outcome)
+			m.session("server", outcome)
 		}
 	}()
 	var rs reconSession
@@ -794,9 +714,6 @@ func (n *Node) handle(conn *countedConn) {
 				return
 			}
 			rs.release()
-		case wire.FrameSyncRequest:
-			n.handleFull(conn, fields, sp)
-			return
 		default:
 			wire.WriteMsg(conn, wire.FrameErr, []byte("bad request"))
 			aborted = true
@@ -805,34 +722,16 @@ func (n *Node) handle(conn *countedConn) {
 	}
 }
 
-// handleHello serves one object's v2 negotiation: answer with the local
-// frontier (or a miss for unhosted objects) and, in the classic dialects,
-// read the client's missing-commit delta, merge it, and stream back the
-// commits the client's frontier does not dominate. A two-field hello
-// carries the client's capability set; the ack then carries ours. A
-// client that advertised wire.CapPatch exchanges packed (delta-state)
-// commit chunks in both directions; one that advertised wire.CapRecon
-// (and found it echoed) instead follows up with range-fingerprint probes
-// — this handler only arms the session state and returns after the ack,
-// the probe and want frames are dispatched by handle. One-field hellos
-// are the pre-capability dialect and get full-state chunks. The return
+// handleHello opens one object's exchange: answer with the local head
+// (or a miss for unhosted objects) and arm the session for the range
+// probes and want frame that follow, which handle dispatches. The return
 // value reports whether the session may continue.
 func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) bool {
 	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
 	hStart := time.Now()
-	if len(fields) != 1 && len(fields) != 2 {
+	if len(fields) != 1 {
 		fail("bad hello")
 		return false
-	}
-	peerPatch, peerRecon := false, false
-	if len(fields) == 2 {
-		caps, err := wire.DecodeCaps(fields[1])
-		if err != nil {
-			fail(err.Error())
-			return false
-		}
-		peerPatch = caps&wire.CapPatch != 0
-		peerRecon = caps&wire.CapRecon != 0 && n.reconEnabled()
 	}
 	hello, err := wire.DecodeHello(fields[0])
 	if err != nil {
@@ -857,97 +756,23 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
 		return true
 	}
-
-	// The network round-trips happen outside syncMu: a stalled or
-	// malicious client must only tie up its own handler, never the
-	// node's sync path. The frontier needs no lock — it advertises
-	// commits we have, which stays true however concurrent exchanges
-	// advance the branch.
-	mine, err := e.obj.Frontier()
+	// Arm the session's install capture before the ack: every commit a
+	// concurrent local Apply installs from here on joins the want
+	// handler's reply, however the descent races it. The network round
+	// trips happen outside syncMu — a stalled or malicious client must
+	// only tie up its own handler, never the node's sync path.
+	*rs = reconSession{active: true, e: e, hello: hello, token: e.obj.BeginInstallCapture()}
+	head, err := e.obj.Head()
 	if err != nil {
 		fail(err.Error())
 		return false
 	}
-	if peerRecon {
-		// The probes resolve the exact diff, so the sampled have-set is
-		// dead weight in this dialect; the head still rides along for the
-		// client's converged-pair shortcut.
-		mine.Have = nil
-	}
-	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Frontier: mine}
-	caps := uint64(0)
-	if peerPatch {
-		caps |= wire.CapPatch
-	}
-	if peerRecon {
-		caps |= wire.CapRecon
-	}
-	var ackErr error
-	if caps != 0 {
-		ackErr = wire.WriteMsg(conn, wire.FrameHelloAck,
-			wire.EncodeHello(ack), wire.EncodeCaps(caps))
-	} else {
-		ackErr = wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack))
-	}
-	if ackErr != nil {
+	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Head: head}
+	if wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack)) != nil {
 		return false
 	}
-	if peerRecon {
-		// Arm the session's install capture before the first probe can
-		// arrive: every commit a concurrent local Apply installs from
-		// here on joins the want handler's reply, however the descent
-		// races it.
-		*rs = reconSession{active: true, e: e, hello: hello, peerPatch: peerPatch,
-			token: e.obj.BeginInstallCapture()}
-		sp.phase("negotiate", hello.Object, hStart)
-		return true
-	}
-	commits, head, err := wire.ReadDelta(conn)
-	if err != nil {
-		fail(err.Error())
-		return false
-	}
-
-	if !n.acquireMergeLock(hello.Node) {
-		sp.failTransient(busyMsg)
-		fail(busyMsg)
-		return false
-	}
-	redundant, _, _, err := e.obj.IntegrateExact("remote/"+hello.Node, commits, head)
-	var reply []store.ExportedCommit
-	var replyHead store.Hash
-	if err == nil {
-		reply, replyHead, err = e.obj.ExportSince(hello.Frontier.HaveSet(), peerPatch)
-	}
-	n.syncMu.Unlock()
-	if err != nil {
-		fail(err.Error())
-		return false
-	}
-	// Count the exchange before the reply streams out: the client may
-	// read its own stats the moment its SyncWith returns, and this
-	// handler goroutine has no happens-before edge past the write.
-	exTier := tierPlain
-	if peerPatch {
-		exTier = tierPacked
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.deltaSyncs.Add(1)
-		s.commitsRecv.Add(int64(len(commits)))
-		s.commitsSent.Add(int64(len(reply)))
-		s.patchesRecv.Add(countPatches(commits))
-		s.patchesSent.Add(countPatches(reply))
-		s.redundantCommits.Add(int64(redundant))
-		s.addTier(exTier)
-	}
-	sp.object(exTier)
-	sp.phase("exchange", hello.Object, hStart)
-	// Commits are immutable, so the materialized reply stays valid even
-	// if another exchange advances the branch while it streams out.
-	if peerPatch {
-		return wire.WriteDeltaPacked(conn, reply, replyHead) == nil
-	}
-	return wire.WriteDelta(conn, reply, replyHead) == nil
+	sp.phase("negotiate", hello.Object, hStart)
+	return true
 }
 
 // reconItemsCap is the range size below which a probed server
@@ -1049,7 +874,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		for _, h := range fresh {
 			skip[h] = true
 		}
-		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, skip, rs.peerPatch)
+		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, skip)
 	}
 	n.syncMu.Unlock()
 	if err != nil {
@@ -1066,17 +891,13 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		s.patchesRecv.Add(countPatches(commits))
 		s.patchesSent.Add(countPatches(reply))
 		s.redundantCommits.Add(int64(redundant))
-		s.addTier(tierRecon)
 	}
 	if m := n.metrics; m != nil {
 		m.descent(rs.probes)
 	}
-	sp.object(tierRecon)
+	sp.objects(1)
 	sp.phase("ship", rs.hello.Object, wStart)
-	if rs.peerPatch {
-		return wire.WriteDeltaPacked(conn, reply, replyHead) == nil
-	}
-	return wire.WriteDelta(conn, reply, replyHead) == nil
+	return wire.WriteDeltaPacked(conn, reply, replyHead) == nil
 }
 
 // handleReconSpan answers a whole-node span probe: fold a fingerprint
@@ -1086,7 +907,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) bool {
 	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
 	sStart := time.Now()
-	if !n.reconEnabled() || len(fields) != 1 {
+	if len(fields) != 1 {
 		fail("bad request")
 		return false
 	}
@@ -1105,18 +926,8 @@ func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) 
 	if mine == probe {
 		// Mirror the client's accounting: a matching span completes one
 		// converged exchange per hosted object.
-		for _, name := range names {
-			if e, ok := n.entry(name); ok {
-				e.stats.deltaSyncs.Add(1)
-				e.stats.addTier(tierRecon)
-			}
-			n.total.deltaSyncs.Add(1)
-			n.total.addTier(tierRecon)
-		}
-		if m := n.metrics; m != nil {
-			m.spanMatch.Inc()
-		}
-		sp.objects(tierRecon, len(names))
+		n.countSpanMatch(names)
+		sp.objects(len(names))
 		sp.phase("span-probe", "", sStart)
 		return wire.WriteMsg(conn, wire.FrameReconMatch) == nil
 	}
@@ -1155,82 +966,6 @@ func (n *Node) nodeSpan(names []string) wire.ReconSpan {
 	return sp
 }
 
-// handleFull serves the legacy v1 exchange: import the client's whole
-// history for one object, merge it, reply with the merged whole history.
-// The request names its object and datatype in third and fourth fields;
-// the two-field form predates object naming and resolves to the node's
-// sole object with no datatype check (pre-multi-object peers cannot send
-// one).
-func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
-	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
-	fStart := time.Now()
-	var peer, object, datatype string
-	var payload []byte
-	switch len(fields) {
-	case 2:
-		peer, payload = string(fields[0]), fields[1]
-		var ok bool
-		if object, _, ok = n.soleEntry(); !ok {
-			if len(n.Objects()) == 0 {
-				fail("no objects hosted")
-			} else {
-				fail("object name required: node hosts several objects")
-			}
-			return
-		}
-	case 4:
-		peer, object, datatype = string(fields[0]), string(fields[1]), string(fields[2])
-		payload = fields[3]
-	default:
-		fail("bad request")
-		return
-	}
-	e, ok := n.entry(object)
-	if !ok {
-		fail("object not hosted: " + object)
-		return
-	}
-	if datatype != "" {
-		if dt := e.obj.Datatype(); dt != datatype {
-			fail(fmt.Sprintf("object %s is %s here, peer has %s", object, dt, datatype))
-			return
-		}
-	}
-	conn.obj.Store(&e.stats)
-	commits, head, err := wire.DecodeCommitList(payload)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-
-	if !n.acquireMergeLock(peer) {
-		sp.failTransient(busyMsg)
-		fail(busyMsg)
-		return
-	}
-	err = e.obj.Integrate("remote/"+peer, commits, head)
-	var reply []store.ExportedCommit
-	var replyHead store.Hash
-	if err == nil {
-		reply, replyHead, err = e.obj.Export()
-	}
-	n.syncMu.Unlock()
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.fullSyncs.Add(1)
-		s.commitsRecv.Add(int64(len(commits)))
-		s.commitsSent.Add(int64(len(reply)))
-		s.addTier(tierV1)
-	}
-	sp.setPeer(peer)
-	sp.object(tierV1)
-	sp.phase("exchange", object, fStart)
-	wire.WriteMsg(conn, wire.FrameSyncResponse, wire.EncodeCommitList(reply, replyHead))
-}
-
 // SyncWith synchronizes every object this node hosts with the peer
 // listening at addr, over a single connection: per object, the peer
 // merges this node's missing commits into its branch, and this node then
@@ -1238,11 +973,8 @@ func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
 // is computed after the peer merged). Objects the peer does not host (or
 // hosts under a different datatype) are skipped and counted in Misses.
 // After a successful exchange both nodes hold equal states on every
-// shared object. Negotiation runs richest-first: the packed delta
-// protocol (capability hellos, patch-bearing commit chunks), then the
-// plain delta protocol (full-state chunks, for peers that predate
-// capabilities), then the legacy full-history protocol, one connection
-// per object.
+// shared object. A peer that refuses any step of the protocol fails the
+// call with an ErrProtocol error; nothing is retried in another form.
 func (n *Node) SyncWith(addr string) error {
 	_, err := n.syncPeer(context.Background(), addr, nil)
 	return err
@@ -1265,17 +997,20 @@ func (n *Node) peerLock(addr string) *sync.Mutex {
 	return mu.(*sync.Mutex)
 }
 
-// syncPeer runs one client exchange with addr over the negotiation
-// ladder, serialized per peer address. Each object's exchange holds the
-// node-wide syncMu from the export of its frontier to the integrate of
-// the peer's reply: the branch a hello advertises must not move until
-// the reply is merged back, or the integrate lands on a moved head and
-// the pair needs another round to reconcile (see the package comment).
-// Local commits and inbound merges wait that window out; a peer
-// simultaneously syncing us gets the acquireMergeLock tie-break instead
-// of a deadlock. Dials stay outside the freeze, so an unreachable peer
-// costs its supervisor a dial timeout but never stalls the node's
-// commits.
+// syncPeer runs one client session with addr, serialized per peer
+// address. A session over every hosted object (objects == nil) opens
+// with the whole-node span probe; a match ends it after two frames — the
+// converged pair's steady-state cost. Each object's exchange then holds
+// the node-wide syncMu from its hello to the integrate of the peer's
+// reply: the head the hello advertises must not move until the reply is
+// merged back, or the integrate lands on a moved head and the pair needs
+// another round to reconcile (see the package comment). Local commits
+// and inbound merges wait that window out; a peer simultaneously syncing
+// us gets the acquireMergeLock tie-break instead of a deadlock. The dial
+// stays outside the freeze, so an unreachable peer costs its supervisor
+// a dial timeout but never stalls the node's commits. The returned
+// Report names the objects the peer answered with a miss — the mesh
+// daemon uses it to learn which objects a peer is interested in.
 func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ mesh.Report, retErr error) {
 	lock := n.peerLock(addr)
 	lock.Lock()
@@ -1285,7 +1020,8 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 		names = n.Objects()
 	}
 	var call callState
-	report := func(missed []string) mesh.Report {
+	var missed []string
+	report := func() mesh.Report {
 		s := call.stats.snapshot()
 		return mesh.Report{
 			BytesSent:   s.BytesSent,
@@ -1296,7 +1032,7 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 		}
 	}
 	if len(names) == 0 {
-		return report(nil), nil
+		return report(), nil
 	}
 	start := time.Now()
 	call.span = n.newSpan("client", addr)
@@ -1308,118 +1044,62 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 			if retErr != nil {
 				outcome = failClassName(classifyFailure(retErr))
 			}
-			m.session("client", call.tier, outcome)
+			m.session("client", outcome)
 		}
 	}()
-	// A protocol violation poisons the rich-dialect memos: the next round
-	// renegotiates from the bottom of the ladder instead of trusting
-	// session state learned from a peer that just broke the protocol.
-	// Transient failures keep the memos — a peer that is merely down
-	// resumes its negotiated dialect on reconnect.
-	defer func() {
-		if retErr != nil && classifyFailure(retErr) == mesh.FailViolation {
-			n.reconPeers.Delete(addr)
-		}
-	}()
-	if !n.fullOnly.Load() {
-		if _, plain := n.plainPeers.Load(addr); !plain {
-			// The whole-node span probe is only worth a frame when every
-			// hosted object is in scope (the server folds over all of its
-			// objects) and the peer is memo-known to speak recon.
-			spanOK := objects == nil
-			missed, err := n.syncDelta(ctx, addr, names, true, spanOK, &call)
-			if errors.Is(err, errSpanRetry) {
-				// The peer refused the span probe (downgraded in place);
-				// the memo is already cleared — retry the same dialect on
-				// a fresh connection, without the span opening.
-				missed, err = n.syncDelta(ctx, addr, names, true, false, &call)
-			}
-			if err == nil || !errors.Is(err, errFallback) {
-				return report(missed), err
-			}
-			// The peer refused the capability hello outright (and closed
-			// the session): remember that and retry the pre-capability
-			// dialect on a fresh connection before abandoning delta sync
-			// entirely.
-			n.plainPeers.Store(addr, struct{}{})
-		}
-		missed, err := n.syncDelta(ctx, addr, names, false, false, &call)
-		if err == nil || !errors.Is(err, errFallback) {
-			return report(missed), err
-		}
-		n.total.fallbacks.Add(1)
-	}
-	for _, object := range names {
-		if err := n.syncFull(ctx, addr, object, len(names) == 1, &call); err != nil {
-			return report(nil), err
-		}
-	}
-	return report(nil), nil
-}
-
-// errSpanRetry marks a span probe the peer refused: the recon memo was
-// stale and has been cleared; the caller retries the session without the
-// span opening.
-var errSpanRetry = errors.New("replica: span probe refused")
-
-// syncDelta runs the client side of a v2 session: one connection, one
-// negotiate-and-ship-missing exchange per object. withCaps selects the
-// capability dialects (capability hello; patch commits and range
-// reconciliation when the peer acks them). When spanOK and the peer is
-// memo-known to speak recon, the session opens with a whole-node span
-// probe: a match ends the round after two frames — the converged mesh
-// pair's steady-state cost. A failure of the first hello is reported as
-// errFallback (the peer predates the dialect); failures after that are
-// real errors. The returned list names the objects the peer answered
-// with a miss — the mesh daemon uses it to learn which objects a peer
-// is interested in.
-func (n *Node) syncDelta(ctx context.Context, addr string, names []string, withCaps, spanOK bool, call *callState) ([]string, error) {
-	reconKnown := false
-	if withCaps && n.reconEnabled() {
-		_, reconKnown = n.reconPeers.Load(addr)
-	}
 	conn, err := n.dialPeer(ctx, addr)
 	if err != nil {
-		return nil, err
+		return report(), err
 	}
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	c := n.newConn(conn, &call.stats)
 
-	if reconKnown && spanOK {
-		done, err := n.syncSpan(c, addr, names, call)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, nil
+	// The span folds over every hosted object on the server side, so it
+	// can only settle a session that covers all of ours.
+	if objects == nil {
+		done, err := n.syncSpan(c, names, &call)
+		if err != nil || done {
+			return report(), err
 		}
 	}
-	var missed []string
-	for i, object := range names {
+	for _, object := range names {
 		e, ok := n.entry(object)
 		if !ok {
 			continue // removed concurrently; nothing to sync
 		}
 		c.obj.Store(&e.stats)
-		miss, err := n.syncObjectDelta(c, addr, object, e, i == 0, withCaps, reconKnown, call)
+		miss, err := n.syncObject(c, object, e, &call)
 		if err != nil {
-			return missed, err
+			return report(), err
 		}
 		if miss {
 			missed = append(missed, object)
 		}
 	}
-	return missed, nil
+	return report(), nil
 }
 
-// syncSpan opens a session with the whole-node span probe, under the
-// sync freeze so the digest cannot move between fold and answer. It
-// reports done=true when the peer's span matched (nothing to sync
-// anywhere), and errSpanRetry — after clearing the recon memo — when
-// the peer refused the frame.
-func (n *Node) syncSpan(c *countedConn, addr string, names []string, call *callState) (done bool, _ error) {
+// countSpanMatch accounts a matching span probe as one converged
+// exchange per named object, exactly as if each object had run its own
+// (trivial) exchange.
+func (n *Node) countSpanMatch(names []string) {
+	for _, name := range names {
+		if e, ok := n.entry(name); ok {
+			e.stats.deltaSyncs.Add(1)
+		}
+		n.total.deltaSyncs.Add(1)
+	}
+	if m := n.metrics; m != nil {
+		m.spanMatch.Inc()
+	}
+}
+
+// syncSpan sends the whole-node span probe, under the sync freeze so the
+// digest cannot move between fold and answer. It reports done=true when
+// the peer's span matched (nothing to sync anywhere).
+func (n *Node) syncSpan(c *countedConn, names []string, call *callState) (done bool, _ error) {
 	n.syncMu.Lock()
 	defer n.syncMu.Unlock()
 	pStart := time.Now()
@@ -1427,90 +1107,61 @@ func (n *Node) syncSpan(c *countedConn, addr string, names []string, call *callS
 	if m := n.metrics; m != nil {
 		m.rangesClient.Inc()
 	}
-	sp := n.nodeSpan(names)
-	if err := wire.WriteMsg(c, wire.FrameReconSpan, wire.EncodeReconSpan(sp)); err != nil {
+	if err := wire.WriteMsg(c, wire.FrameReconSpan, wire.EncodeReconSpan(n.nodeSpan(names))); err != nil {
 		return false, err
 	}
-	kind, _, err := wire.ReadMsg(c)
-	switch {
-	case err != nil, kind == wire.FrameErr:
-		n.reconPeers.Delete(addr)
-		return false, errSpanRetry
-	case kind == wire.FrameReconMatch:
-		// One converged exchange per object, resolved in aggregate: the
-		// per-object counters tick exactly as if each object had run its
-		// own (trivial) exchange.
-		for _, name := range names {
-			if e, ok := n.entry(name); ok {
-				e.stats.deltaSyncs.Add(1)
-				e.stats.addTier(tierRecon)
-			}
-			n.total.deltaSyncs.Add(1)
-			n.total.addTier(tierRecon)
-		}
-		if m := n.metrics; m != nil {
-			m.spanMatch.Inc()
-		}
-		call.tier = tierRecon
-		call.span.objects(tierRecon, len(names))
+	kind, fields, err := wire.ReadMsg(c)
+	if err != nil {
+		return false, err
+	}
+	switch kind {
+	case wire.FrameReconMatch:
+		n.countSpanMatch(names)
+		call.span.objects(len(names))
 		call.span.phase("span-probe", "", pStart)
 		return true, nil
-	case kind == wire.FrameReconSpan:
+	case wire.FrameReconSpan:
 		if m := n.metrics; m != nil {
 			m.spanDiff.Inc()
 		}
 		call.span.phase("span-probe", "", pStart)
-		return false, nil // differs somewhere; run the per-object ladder
+		return false, nil // differs somewhere; run the per-object exchanges
+	case wire.FrameErr:
+		return false, fmt.Errorf("%w: peer refused span probe: %v", ErrProtocol, peerMsg(fields))
 	default:
 		return false, fmt.Errorf("%w: unexpected span reply kind %d", ErrProtocol, kind)
 	}
 }
 
-// syncObjectDelta negotiates and transfers one object on an open
-// session. It reports miss=true when the peer answered the hello with
-// "object not hosted here" (the session stays usable for the next
-// object). The node's syncMu is held for the whole call — network
-// round-trips included — because the frontier the hello advertises is a
-// promise that the branch will stand still until the reply is merged.
-// A peer that echoes wire.CapRecon gets the reconciliation exchange
-// instead of the frontier-delta one, on the same session.
-func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEntry, first, withCaps, reconKnown bool, call *callState) (miss bool, _ error) {
+// peerMsg renders the message of a FrameErr.
+func peerMsg(fields [][]byte) string {
+	if len(fields) == 0 {
+		return "unspecified"
+	}
+	return string(fields[0])
+}
+
+// syncObject runs one object's exchange on an open session. It reports
+// miss=true when the peer answered the hello with "object not hosted
+// here" (the session stays usable for the next object). The node's
+// syncMu is held for the whole call — network round trips included —
+// because the head the hello advertises is a promise that the branch
+// will stand still until the reply is merged.
+func (n *Node) syncObject(c *countedConn, object string, e *objectEntry, call *callState) (miss bool, _ error) {
 	n.syncMu.Lock()
 	defer n.syncMu.Unlock()
 	negStart := time.Now()
-	mine, err := e.obj.Frontier()
+	head, err := e.obj.Head()
 	if err != nil {
 		return false, err
 	}
-	if reconKnown {
-		// A memo-known recon peer resolves the diff by probing, so the
-		// sampled have-set is dead weight; keep only the head. Should the
-		// memo prove stale (the peer downgraded in place), the classic
-		// exchange still works off the bare head — it just re-ships more.
-		mine.Have = nil
-	}
-	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Frontier: mine}
-	if withCaps {
-		caps := wire.CapPatch
-		if n.reconEnabled() {
-			caps |= wire.CapRecon
-		}
-		err = wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello), wire.EncodeCaps(caps))
-	} else {
-		err = wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello))
-	}
-	if err != nil {
-		if first {
-			return false, fmt.Errorf("%w: %v", errFallback, err)
-		}
+	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Head: head}
+	if err := wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello)); err != nil {
 		return false, err
 	}
 	kind, fields, err := wire.ReadMsg(c)
 	switch {
 	case err != nil:
-		if first {
-			return false, fmt.Errorf("%w: %v", errFallback, err)
-		}
 		return false, err
 	case kind == wire.FrameHelloMiss:
 		// Peer does not host this object (or hosts it as another type).
@@ -1518,95 +1169,23 @@ func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEnt
 		e.stats.misses.Add(1)
 		return true, nil
 	case kind == wire.FrameErr:
-		if first {
-			return false, fmt.Errorf("%w: peer refused hello", errFallback)
-		}
-		return false, fmt.Errorf("%w: peer refused hello for object %s", ErrProtocol, object)
-	case kind != wire.FrameHelloAck || (len(fields) != 1 && len(fields) != 2):
-		if first {
-			return false, fmt.Errorf("%w: unexpected reply kind %d", errFallback, kind)
-		}
-		return false, fmt.Errorf("%w: unexpected reply kind %d", ErrProtocol, kind)
-	}
-	// The peer speaks the packed (and recon) dialects iff it echoed them
-	// in a capability field (it never volunteers one to a pre-capability
-	// hello).
-	peerPatch, peerRecon := false, false
-	if len(fields) == 2 {
-		caps, err := wire.DecodeCaps(fields[1])
-		if err != nil {
-			return false, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		peerPatch = withCaps && caps&wire.CapPatch != 0
-		peerRecon = withCaps && caps&wire.CapRecon != 0 && n.reconEnabled()
+		return false, fmt.Errorf("%w: peer refused hello for object %s: %s", ErrProtocol, object, peerMsg(fields))
+	case kind != wire.FrameHelloAck || len(fields) != 1:
+		return false, fmt.Errorf("%w: unexpected hello reply kind %d", ErrProtocol, kind)
 	}
 	ack, err := wire.DecodeHello(fields[0])
 	if err != nil {
-		if first {
-			return false, fmt.Errorf("%w: %v", errFallback, err)
-		}
 		return false, err
 	}
 	if ack.Object != object {
 		return false, fmt.Errorf("%w: peer acked object %q, want %q", ErrProtocol, ack.Object, object)
 	}
-	if peerRecon {
-		n.reconPeers.Store(addr, struct{}{})
-		call.span.phase("negotiate", object, negStart)
-		return false, n.syncObjectRecon(c, object, e, ack, peerPatch, call)
-	}
 	call.span.phase("negotiate", object, negStart)
-
-	shipStart := time.Now()
-	commits, head, err := e.obj.ExportSince(ack.Frontier.HaveSet(), peerPatch)
-	if err != nil {
-		return false, err
-	}
-	if peerPatch {
-		err = wire.WriteDeltaPacked(c, commits, head)
-	} else {
-		err = wire.WriteDelta(c, commits, head)
-	}
-	if err != nil {
-		return false, err
-	}
-	call.span.phase("ship", object, shipStart)
-	importStart := time.Now()
-	reply, replyHead, err := wire.ReadDelta(c)
-	if err != nil {
-		var pe *wire.PeerError
-		if errors.As(err, &pe) {
-			if pe.Msg == busyMsg {
-				return false, fmt.Errorf("%w: %s", ErrPeerBusy, object)
-			}
-			return false, fmt.Errorf("%w: peer: %s", ErrProtocol, pe.Msg)
-		}
-		return false, err
-	}
-	redundant, _, _, err := e.obj.IntegrateExact("remote/"+ack.Node, reply, replyHead)
-	if err != nil {
-		return false, err
-	}
-	exTier := tierPlain
-	if peerPatch {
-		exTier = tierPacked
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.deltaSyncs.Add(1)
-		s.commitsSent.Add(int64(len(commits)))
-		s.commitsRecv.Add(int64(len(reply)))
-		s.patchesSent.Add(countPatches(commits))
-		s.patchesRecv.Add(countPatches(reply))
-		s.redundantCommits.Add(int64(redundant))
-		s.addTier(exTier)
-	}
-	call.object(exTier)
-	call.span.phase("import", object, importStart)
-	return false, nil
+	return false, n.syncObjectRecon(c, object, e, ack, call)
 }
 
 // syncObjectRecon runs the client side of one object's reconciliation
-// exchange, after the hello ack echoed wire.CapRecon. The client drives
+// exchange, after the hello ack. The client drives
 // a lock-step descent over hash ranges: probe a range with its local
 // fingerprint and count, and on mismatch either receive the server's
 // items (small ranges — diffed locally into want and ship lists) or a
@@ -1617,7 +1196,7 @@ func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEnt
 // delta in each direction then ship precisely the missing commits; the
 // server's reply adds only the merge commits its pull minted. The
 // caller holds syncMu throughout, so the local set stands still.
-func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ack wire.Hello, peerPatch bool, call *callState) error {
+func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ack wire.Hello, call *callState) error {
 	type keyRange struct{ x, y recon.Item }
 	work := []keyRange{{}} // the zero pair spans the whole keyspace
 	var want []store.Hash
@@ -1709,11 +1288,7 @@ func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ac
 				}
 			}
 		case wire.FrameErr:
-			msg := "unspecified"
-			if len(fields) > 0 {
-				msg = string(fields[0])
-			}
-			return fmt.Errorf("%w: peer: %s", ErrProtocol, msg)
+			return fmt.Errorf("%w: peer: %s", ErrProtocol, peerMsg(fields))
 		default:
 			return fmt.Errorf("%w: unexpected kind %d in recon descent", ErrProtocol, kind)
 		}
@@ -1730,28 +1305,22 @@ func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ac
 	if err != nil {
 		return err
 	}
-	if len(want) == 0 && len(ship) == 0 && ack.Frontier.Head == localHead {
+	if len(want) == 0 && len(ship) == 0 && ack.Head == localHead {
 		for _, s := range []*syncStats{&n.total, &e.stats} {
 			s.deltaSyncs.Add(1)
-			s.addTier(tierRecon)
 		}
-		call.object(tierRecon)
+		call.span.objects(1)
 		return nil
 	}
 	shipStart := time.Now()
 	if err := wire.WriteMsg(c, wire.FrameReconWant, wire.EncodeReconWant(want)); err != nil {
 		return err
 	}
-	commits, head, err := e.obj.ExportSetCapture(ship, token, nil, peerPatch)
+	commits, head, err := e.obj.ExportSetCapture(ship, token, nil)
 	if err != nil {
 		return err
 	}
-	if peerPatch {
-		err = wire.WriteDeltaPacked(c, commits, head)
-	} else {
-		err = wire.WriteDelta(c, commits, head)
-	}
-	if err != nil {
+	if err := wire.WriteDeltaPacked(c, commits, head); err != nil {
 		return err
 	}
 	call.span.phase("ship", object, shipStart)
@@ -1778,106 +1347,9 @@ func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ac
 		s.patchesSent.Add(countPatches(commits))
 		s.patchesRecv.Add(countPatches(reply))
 		s.redundantCommits.Add(int64(redundant))
-		s.addTier(tierRecon)
 	}
-	call.object(tierRecon)
+	call.span.objects(1)
 	call.span.phase("import", object, importStart)
-	return nil
-}
-
-// syncFull runs the client side of the legacy v1 exchange for one
-// object: ship the whole branch history, merge the peer's whole merged
-// history from the reply. The named (four-field) request form is tried
-// first — it carries the object and datatype, so multi-object peers
-// resolve and type-check it; if the peer refuses it and this node hosts
-// a single object, the original two-field form is retried on a fresh
-// connection for interop with pre-multi-object peers.
-func (n *Node) syncFull(ctx context.Context, addr string, object string, sole bool, call *callState) error {
-	e, ok := n.entry(object)
-	if !ok {
-		return nil
-	}
-	err := n.syncFullOnce(ctx, addr, object, e, true, call)
-	if err != nil && sole && errors.Is(err, errLegacyRequest) {
-		return n.syncFullOnce(ctx, addr, object, e, false, call)
-	}
-	return err
-}
-
-// errLegacyRequest marks a v1 request the peer could not even parse —
-// the answer a pre-multi-object node gives the named request form, and
-// the one failure where retrying with the legacy two-field form can
-// help. Semantic refusals (unknown object, datatype mismatch) do not
-// qualify: retrying those through the unchecked legacy form would
-// bypass the datatype check.
-var errLegacyRequest = errors.New("replica: peer cannot parse request")
-
-// syncFullOnce runs one v1 exchange on its own connection, using the
-// named request form when named is true.
-func (n *Node) syncFullOnce(ctx context.Context, addr, object string, e *objectEntry, named bool, call *callState) error {
-	conn, err := n.dialPeer(ctx, addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	c := n.newConn(conn, &call.stats)
-	c.obj.Store(&e.stats)
-
-	// As in syncObjectDelta, the branch freezes from export to integrate.
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	exStart := time.Now()
-	commits, head, err := e.obj.Export()
-	if err != nil {
-		return err
-	}
-	payload := wire.EncodeCommitList(commits, head)
-	if named {
-		err = wire.WriteMsg(c, wire.FrameSyncRequest,
-			[]byte(n.name), []byte(object), []byte(e.obj.Datatype()), payload)
-	} else {
-		err = wire.WriteMsg(c, wire.FrameSyncRequest, []byte(n.name), payload)
-	}
-	if err != nil {
-		return err
-	}
-	kind, fields, err := wire.ReadMsg(c)
-	if err != nil {
-		return err
-	}
-	if kind == wire.FrameErr {
-		msg := "unspecified"
-		if len(fields) > 0 {
-			msg = string(fields[0])
-		}
-		if msg == "bad request" {
-			return fmt.Errorf("%w: %w", ErrProtocol, errLegacyRequest)
-		}
-		if msg == busyMsg {
-			return fmt.Errorf("%w: %s", ErrPeerBusy, object)
-		}
-		return fmt.Errorf("%w: peer: %s", ErrProtocol, msg)
-	}
-	if kind != wire.FrameSyncResponse || len(fields) != 1 {
-		return fmt.Errorf("%w: unexpected message kind %d", ErrProtocol, kind)
-	}
-	peerCommits, peerHead, err := wire.DecodeCommitList(fields[0])
-	if err != nil {
-		return err
-	}
-	if err := e.obj.Integrate("remote/peer@"+addr, peerCommits, peerHead); err != nil {
-		return err
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.fullSyncs.Add(1)
-		s.commitsSent.Add(int64(len(commits)))
-		s.commitsRecv.Add(int64(len(peerCommits)))
-		s.addTier(tierV1)
-	}
-	call.object(tierV1)
-	call.span.phase("exchange", object, exStart)
 	return nil
 }
 

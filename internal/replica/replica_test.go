@@ -279,7 +279,7 @@ func TestConcurrentOpsDuringGossip(t *testing.T) {
 }
 
 // TestMultiObjectSession syncs two differently-typed named objects over a
-// single connection and checks per-object frontier negotiation: a
+// single connection and checks per-object reconciliation: a
 // re-sync of the converged pair ships zero commits for each object.
 func TestMultiObjectSession(t *testing.T) {
 	mk := func(name string, id int) (*replica.Node,
@@ -423,6 +423,26 @@ func TestDatatypeMismatchIsMiss(t *testing.T) {
 	if st := a.Stats(); st.Misses != 1 || st.DeltaSyncs != 0 {
 		t.Fatalf("mismatched datatype must miss, got %+v", st)
 	}
+
+	// pn-counter and lww-register states are both 16 bytes: a decode
+	// would succeed, only the datatype name tells them apart.
+	c, _ := replica.NewNode("c", 3)
+	t.Cleanup(func() { c.Close() })
+	cObj, _ := replica.Ensure[lwwreg.State, lwwreg.Op, lwwreg.Val](
+		c, "thing", "lww-register", lwwreg.Reg{}, wire.LWWReg{})
+	if err := c.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	cObj.Do(lwwreg.Op{Kind: lwwreg.Write, V: 4})
+	if err := a.SyncWith(c.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.Misses != 2 || st.DeltaSyncs != 0 {
+		t.Fatalf("byte-compatible datatype must miss, got %+v", st)
+	}
+	if s, err := cObj.State(); err != nil || s.V != 4 {
+		t.Fatalf("server register corrupted: %+v, %v", s, err)
+	}
 }
 
 // TestEnsureRejectsMismatch: re-opening an object under another datatype
@@ -443,71 +463,6 @@ func TestEnsureRejectsMismatch(t *testing.T) {
 	if _, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
 		n, "obj", "mergeable-log", mlog.Log{}, wire.MLog{}); err == nil {
 		t.Fatal("mismatched Ensure must fail")
-	}
-}
-
-// TestFullSyncAgainstMultiObjectServer: a single-object client forced
-// onto the v1 full protocol must still sync with a server hosting
-// several objects — the named request form resolves the object.
-func TestFullSyncAgainstMultiObjectServer(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b, err := replica.NewNode("b", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	bCnt, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		b, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
-	if _, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-		b, "extra", "mergeable-log", mlog.Log{}, wire.MLog{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	inc(t, a, 2)
-	bCnt.Do(counter.Op{Kind: counter.Inc, N: 3})
-	a.SetFullSyncOnly(true)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if v := peek(t, a); v != 5 {
-		t.Fatalf("a = %d, want 5", v)
-	}
-	if st := a.Stats(); st.FullSyncs != 1 {
-		t.Fatalf("expected one full sync, got %+v", st)
-	}
-}
-
-// TestFullSyncRejectsDatatypeMismatch: the named v1 request carries the
-// datatype, so byte-compatible states of different types are refused
-// instead of merged into garbage — and the legacy two-field retry must
-// not bypass the check.
-func TestFullSyncRejectsDatatypeMismatch(t *testing.T) {
-	a, _ := replica.NewNode("a", 1)
-	b, _ := replica.NewNode("b", 2)
-	t.Cleanup(func() { a.Close(); b.Close() })
-	// pn-counter and lww-register states are both 16 bytes: a decode
-	// succeeds, only the datatype name tells them apart.
-	aObj, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		a, "x", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
-	bObj, _ := replica.Ensure[lwwreg.State, lwwreg.Op, lwwreg.Val](
-		b, "x", "lww-register", lwwreg.Reg{}, wire.LWWReg{})
-	if err := b.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	aObj.Do(counter.Op{Kind: counter.Inc, N: 9})
-	bObj.Do(lwwreg.Op{Kind: lwwreg.Write, V: 4})
-	a.SetFullSyncOnly(true)
-	if err := a.SyncWith(b.Addr()); err == nil {
-		t.Fatal("full sync across datatypes must fail")
-	}
-	s, err := bObj.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.V != 4 {
-		t.Fatalf("server register corrupted: %+v", s)
 	}
 }
 

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/counter"
+	"repro/internal/store"
 )
 
 // TestConcurrentReadersAndWriters exercises the store's read-parallel
 // locking discipline under -race: queries (Head, HeadHash, Size,
-// Branches, Frontier, Export, ExportSince, Commit, NumCommits) run on
+// Branches, Export, ExportSince, Commit, NumCommits) run on
 // shared read locks while writers apply operations and merge branches.
 // The assertions are deliberately weak — no reader may ever observe an
 // error or a torn state; the race detector does the heavy lifting.
@@ -70,11 +71,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			return nil
 		},
 		func() error {
-			f, err := s.Frontier("main")
+			h, err := s.HeadHash("main")
 			if err != nil {
 				return err
 			}
-			_, _, err = s.ExportSince("main", f.HaveSet())
+			_, _, err = s.ExportSince("main", []store.Hash{h})
 			return err
 		},
 		func() error { _, _, err := s.Export("dev"); return err },

@@ -184,7 +184,7 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // history. An empty batch is a valid delta as long as the advertised
 // head is already known. States decode through the store's own codec,
 // except that an encoded state whose hash is already present — re-shipped
-// history a frontier sample failed to advertise — skips the decode.
+// history — skips the decode.
 //
 // A commit may carry its state as a Patch against its first parent's
 // state (packed exports); the parent is necessarily known — the batch is
@@ -204,7 +204,7 @@ func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, head H
 // batch freshly installed (already-present re-ships excluded), in
 // installation order. The record is cut inside Import's own critical
 // section, so a concurrent Apply can never leak into it — the exactness
-// the reconciliation dialect's redundancy accounting and reply skip set
+// the reconciliation protocol's redundancy accounting and reply skip set
 // depend on.
 func (s *Store[S, Op, Val]) ImportCaptured(name string, commits []ExportedCommit, head Hash) ([]Hash, error) {
 	s.mu.Lock()

@@ -109,6 +109,9 @@ func TestExportUnknownBranch(t *testing.T) {
 	if _, _, err := s.Export("ghost"); !errors.Is(err, store.ErrNoBranch) {
 		t.Fatalf("Export = %v, want ErrNoBranch", err)
 	}
+	if _, _, err := s.ExportSince("ghost", nil); !errors.Is(err, store.ErrNoBranch) {
+		t.Fatalf("ExportSince = %v, want ErrNoBranch", err)
+	}
 }
 
 func TestExportTopologicalOrder(t *testing.T) {
@@ -268,5 +271,140 @@ func TestImportRejectsNonCanonicalState(t *testing.T) {
 	// The untampered batch still imports cleanly.
 	if err := dst.Import("remote/main", commits, head); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestExportSinceConvergedIsEmpty(t *testing.T) {
+	s := counterStore()
+	for i := 0; i < 10; i++ {
+		inc(t, s, "main", 1)
+	}
+	head, _ := s.HeadHash("main")
+	commits, h, err := s.ExportSince("main", []store.Hash{head})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(commits) != 0 || h != head {
+		t.Fatalf("cut at head must be empty, got %d commits", len(commits))
+	}
+}
+
+func TestExportSinceSuffixOnly(t *testing.T) {
+	s := counterStore()
+	for i := 0; i < 5; i++ {
+		inc(t, s, "main", 1)
+	}
+	mid, _ := s.HeadHash("main")
+	for i := 0; i < 3; i++ {
+		inc(t, s, "main", 1)
+	}
+	commits, _, err := s.ExportSince("main", []store.Hash{mid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(commits) != 3 {
+		t.Fatalf("delta above mid = %d commits, want 3", len(commits))
+	}
+	// Unknown have hashes cut nothing and break nothing.
+	commits, _, err = s.ExportSince("main", []store.Hash{{0xde, 0xad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(commits) != 9 { // root + 8 ops: degenerate full export
+		t.Fatalf("unknown haves must degenerate to full export, got %d", len(commits))
+	}
+}
+
+// TestExportSinceGrafts is the store-level core of delta sync: ship a
+// prefix, then ship only the suffix, and have Import graft it onto the
+// already-present commits.
+func TestExportSinceGrafts(t *testing.T) {
+	src := counterStore()
+	for i := 0; i < 6; i++ {
+		inc(t, src, "main", 1)
+	}
+	dst := store.NewAt[int64, counter.Op, counter.Val](
+		counter.IncCounter{}, wire.IncCounter{}, "local", 64)
+
+	commits, head, err := src.Export("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Import("remote/main", commits, head); err != nil {
+		t.Fatal(err)
+	}
+
+	// src advances; dst advertises its tracking head; only the gap ships.
+	for i := 0; i < 4; i++ {
+		inc(t, src, "main", 1)
+	}
+	have, err := dst.HeadHash("remote/main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, newHead, err := src.ExportSince("main", []store.Hash{have})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(delta) != 4 {
+		t.Fatalf("delta = %d commits, want 4", len(delta))
+	}
+	if err := dst.Import("remote/main", delta, newHead); err != nil {
+		t.Fatal(err)
+	}
+	v, err := dst.Head("remote/main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 10 {
+		t.Fatalf("grafted head = %d, want 10", v)
+	}
+	if err := dst.Pull("local", "remote/main"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := dst.Head("local"); v != 10 {
+		t.Fatalf("local after pull = %d, want 10", v)
+	}
+}
+
+func TestImportEmptyDeltaMovesBranch(t *testing.T) {
+	src := counterStore()
+	inc(t, src, "main", 7)
+	commits, head, err := src.Export("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := store.NewAt[int64, counter.Op, counter.Val](
+		counter.IncCounter{}, wire.IncCounter{}, "local", 64)
+	if err := dst.Import("remote/main", commits, head); err != nil {
+		t.Fatal(err)
+	}
+	// An empty delta whose head is already known is a no-op re-point.
+	if err := dst.Import("remote/main", nil, head); err != nil {
+		t.Fatal(err)
+	}
+	// An empty delta with an unknown head still fails.
+	if err := dst.Import("remote/main", nil, store.Hash{1}); err == nil {
+		t.Fatal("unknown head must fail the import")
+	}
+}
+
+func TestImportDanglingParentFails(t *testing.T) {
+	src := counterStore()
+	for i := 0; i < 5; i++ {
+		inc(t, src, "main", 1)
+	}
+	mid, _ := src.HeadHash("main")
+	inc(t, src, "main", 1)
+	delta, head, err := src.ExportSince("main", []store.Hash{mid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh store lacks the cut-point commit, so the graft must fail
+	// instead of installing a dangling DAG.
+	dst := store.NewAt[int64, counter.Op, counter.Val](
+		counter.IncCounter{}, wire.IncCounter{}, "local", 64)
+	if err := dst.Import("remote/main", delta, head); err == nil {
+		t.Fatal("delta onto a store missing the cut point must fail")
 	}
 }

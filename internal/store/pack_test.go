@@ -154,7 +154,7 @@ func TestPackedExportImportRoundTrip(t *testing.T) {
 }
 
 func TestPackedExportSinceGraftsOntoHaves(t *testing.T) {
-	// A converged peer re-syncing: the export is cut at the frontier, and
+	// A converged peer re-syncing: the export is cut at its head, and
 	// patched commits rebase onto commits the peer already holds.
 	src := logStore(store.WithSnapshotEvery(8))
 	appendN(t, src, "main", 40, "shared")
@@ -169,11 +169,11 @@ func TestPackedExportSinceGraftsOntoHaves(t *testing.T) {
 	}
 
 	appendN(t, src, "main", 6, "fresh")
-	f, err := dst.Frontier("remote/main")
+	have, err := dst.HeadHash("remote/main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, head2, err := src.ExportSincePacked("main", f.HaveSet())
+	delta, head2, err := src.ExportSincePacked("main", []store.Hash{have})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // Set reconciliation support: the store mirrors its commit set into an
 // incrementally maintained recon.Tree, so the sync layer can answer
 // range-fingerprint probes in O(log n) and resolve the exact symmetric
-// difference between two replicas instead of trusting sampled frontiers.
+// difference between two replicas.
 //
 // Tree items are (generation, hash) keys: the commit's generation number
 // — 1 + max parent generation, a deterministic function of the DAG, so
@@ -24,11 +24,10 @@ import (
 //
 // The tree is built lazily on the first recon query — an O(n log n)
 // seeding over the commit map plus any frozen checkpoint index — so a
-// node that never syncs (or syncs only with pre-recon peers) pays
-// nothing, and checkpointed recovery stays flat in history. Once built,
-// putCommit and GC keep it exact: every commit installation funnels
-// through putCommit (Apply, Import, merges), and GC's sweep removes the
-// collected hashes.
+// node that never syncs pays nothing, and checkpointed recovery stays
+// flat in history. Once built, putCommit and GC keep it exact: every
+// commit installation funnels through putCommit (Apply, Import, merges),
+// and GC's sweep removes the collected hashes.
 
 // ensureRecon builds the recon tree if it does not exist yet. It takes
 // the write lock only on the build path; steady-state callers get a
@@ -143,12 +142,13 @@ func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []Hash {
 	return log
 }
 
-// ExportSet exports exactly the commits in ship, parents-before-children,
-// in generation order — Gen = 1 + max parent generation, so a parent
-// always sorts strictly before its children and no DAG walk is needed.
-// The returned head is branch b's current head (the graft point the
-// receiver's Import expects). Ship hashes the store does not hold are
-// skipped silently (the peer re-negotiates them next round).
+// ExportSetCapture exports exactly the commits in ship, in the packed
+// wire form, parents-before-children, in generation order — Gen = 1 +
+// max parent generation, so a parent always sorts strictly before its
+// children and no DAG walk is needed. The returned head is branch b's
+// current head (the graft point the receiver's Import expects). Ship
+// hashes the store does not hold are skipped silently (the peer
+// re-negotiates them next round).
 //
 // Enumerating the set directly — rather than walking down from the
 // branch heads — matters for completeness: a reconciliation can
@@ -158,30 +158,22 @@ func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []Hash {
 // permanently different and the pair re-probing the same dead diff
 // every round.
 //
+// Under the same critical section the export first folds the commits
+// recorded by the capture token — minus the skip set — into ship. The
+// token spans the whole negotiation (armed before the first probe), so a
+// commit a local Apply installs after its range was already compared
+// still reaches the ship set, and because putCommit serializes on the
+// same lock, any commit the exported head can reach is either
+// pre-negotiation (resolved by the probes), in the capture, or in skip
+// (known held by the receiver). skip is the receiver's own just-imported
+// delta: commits it provably holds and must not be shipped back.
+//
 // The receiver can graft the batch because its holdings are closed
 // under ancestry and the caller builds ship as "commits the receiver
 // provably lacks": a parent outside the batch is therefore a commit the
-// receiver already holds. Packed exports may ship a commit as a patch
-// against its first parent for the same reason.
-func (s *Store[S, Op, Val]) ExportSet(b string, ship map[Hash]bool, packed bool) ([]ExportedCommit, Hash, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.exportSetLocked(b, ship, packed)
-}
-
-// ExportSetCapture is ExportSet with the race between a negotiated ship
-// set and concurrent local commits closed: under one critical section it
-// folds the commits recorded by the capture token — minus the skip set —
-// into ship, then exports. The token spans the whole negotiation
-// (armed before the first probe), so a commit a local Apply installs
-// after its range was already compared still reaches the ship set, and
-// because putCommit serializes on the same lock, any commit the exported
-// head can reach is either pre-negotiation (resolved by the probes), in
-// the capture, or in skip (known held by the receiver) — the ancestry
-// closure ExportSet's pruning relies on. skip is the receiver's own
-// just-imported delta: commits it provably holds and must not be shipped
-// back.
-func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, skip map[Hash]bool, packed bool) ([]ExportedCommit, Hash, error) {
+// receiver already holds, which is also why a commit may ship as a patch
+// against its first parent.
+func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, skip map[Hash]bool) ([]ExportedCommit, Hash, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, h := range s.endInstallCaptureLocked(token) {
@@ -189,10 +181,6 @@ func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token
 			ship[h] = true
 		}
 	}
-	return s.exportSetLocked(b, ship, packed)
-}
-
-func (s *Store[S, Op, Val]) exportSetLocked(b string, ship map[Hash]bool, packed bool) ([]ExportedCommit, Hash, error) {
 	head, ok := s.heads[b]
 	if !ok {
 		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
@@ -213,6 +201,6 @@ func (s *Store[S, Op, Val]) exportSetLocked(b string, ship map[Hash]bool, packed
 		}
 		return bytes.Compare(order[i][:], order[j][:]) < 0
 	})
-	commits, err := s.exportOrderLocked(order, packed)
+	commits, err := s.exportOrderLocked(order, true)
 	return commits, head, err
 }

@@ -34,7 +34,7 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add(frame(wire.FrameErr, []byte("oops"), []byte("extra")))
 	f.Add(frame(wire.FrameDeltaEnd))
 	// Truncated frame: header promises more than the stream holds.
-	f.Add(frame(wire.FrameCommits, bytes.Repeat([]byte{7}, 64))[:12])
+	f.Add(frame(wire.FramePackedCommits, bytes.Repeat([]byte{7}, 64))[:12])
 	// Hostile field length: announces MaxFieldBytes with 4 bytes behind it.
 	hostile := []byte{byte(wire.FrameHello)}
 	hostile = binary.BigEndian.AppendUint32(hostile, 1)
@@ -135,8 +135,7 @@ func FuzzDecodeRecon(f *testing.F) {
 func FuzzDecodeHello(f *testing.F) {
 	f.Add([]byte{})
 	good := wire.EncodeHello(wire.Hello{
-		Node: "a", Object: "o", Datatype: "mergeable-log",
-		Frontier: store.Frontier{Have: []store.Hash{{1}, {2}}},
+		Node: "a", Object: "o", Datatype: "mergeable-log", Head: store.Hash{1, 2},
 	})
 	f.Add(good)
 	f.Add(good[:len(good)-3])

@@ -16,9 +16,10 @@ import (
 	"repro/internal/store"
 )
 
-// Recon frames, negotiated by CapRecon. The probe/answer pairs reference
-// half-open hash ranges [x, y) where a zero y means "unbounded above"
-// (so the zero pair spans the whole keyspace).
+// Recon frames. A span probe may open a session; the range frames follow
+// a hello ack. The probe/answer pairs reference half-open hash ranges
+// [x, y) where a zero y means "unbounded above" (so the zero pair spans
+// the whole keyspace).
 const (
 	// FrameReconFP probes a range: x, y, fingerprint, count.
 	FrameReconFP FrameKind = 11
@@ -49,11 +50,6 @@ const (
 	// to run per-object syncs.
 	FrameReconSpan FrameKind = 17
 )
-
-// CapRecon: the sender understands the recon frames and prefers
-// fingerprint negotiation over frontier sampling. Negotiated in the same
-// hello capabilities field as CapPatch.
-const CapRecon uint64 = 1 << 1
 
 // MaxReconItems bounds the item count of one FrameReconItems payload; a
 // responder enumerates only small ranges, so a larger announcement is a

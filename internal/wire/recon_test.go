@@ -130,13 +130,3 @@ func TestReconSpanRoundTrip(t *testing.T) {
 		t.Fatal("truncated span must fail")
 	}
 }
-
-func TestCapReconNegotiation(t *testing.T) {
-	caps, err := wire.DecodeCaps(wire.EncodeCaps(wire.CapPatch | wire.CapRecon))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caps&wire.CapRecon == 0 || caps&wire.CapPatch == 0 {
-		t.Fatalf("caps round trip lost bits: %b", caps)
-	}
-}

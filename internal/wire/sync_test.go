@@ -50,21 +50,21 @@ func sameCommits(a, b []store.ExportedCommit) bool {
 
 func TestMsgRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMsg(&buf, FrameHello, []byte("a"), []byte("bb")); err != nil {
+	if err := WriteMsg(&buf, FrameHello, []byte("ab")); err != nil {
 		t.Fatal(err)
 	}
 	kind, fields, err := ReadMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != FrameHello || len(fields) != 2 || string(fields[0]) != "a" || string(fields[1]) != "bb" {
+	if kind != FrameHello || len(fields) != 1 || string(fields[0]) != "ab" {
 		t.Fatalf("round trip mismatch: kind=%d fields=%q", kind, fields)
 	}
 }
 
 func TestReadMsgCapsFieldSize(t *testing.T) {
 	var raw []byte
-	raw = append(raw, byte(FrameCommits))
+	raw = append(raw, byte(FramePackedCommits))
 	raw = binary.BigEndian.AppendUint32(raw, 1)
 	raw = binary.BigEndian.AppendUint32(raw, MaxFieldBytes+1)
 	if _, _, err := ReadMsg(bytes.NewReader(raw)); !errors.Is(err, ErrFraming) {
@@ -86,18 +86,13 @@ func TestHelloRoundTrip(t *testing.T) {
 		Node:     "node-7",
 		Object:   "cart",
 		Datatype: "or-set-space",
-		Frontier: store.Frontier{
-			Head: store.Hash{1, 2, 3},
-			Have: []store.Hash{{4}, {5}, {6}},
-		},
+		Head:     store.Hash{1, 2, 3},
 	}
 	got, err := DecodeHello(EncodeHello(h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Node != "node-7" || got.Object != "cart" || got.Datatype != "or-set-space" ||
-		got.Frontier.Head != h.Frontier.Head || len(got.Frontier.Have) != 3 ||
-		got.Frontier.Have[2] != h.Frontier.Have[2] {
+	if got != h {
 		t.Fatalf("hello mismatch: %+v", got)
 	}
 }
@@ -108,31 +103,9 @@ func TestDecodeHelloForgedCountFails(t *testing.T) {
 	w.PutString("obj")
 	w.PutString("dt")
 	w.PutHash(store.Hash{})
-	w.PutLen(1 << 30) // claims a billion hashes with no payload behind it
+	w.PutLen(1 << 30) // a trailing count claiming a billion hashes
 	if _, err := DecodeHello(w.Bytes()); err == nil {
-		t.Fatal("forged have count must fail")
-	}
-}
-
-func TestCommitListRoundTrip(t *testing.T) {
-	commits := testCommits(17, 9)
-	head := store.Hash{9, 9}
-	got, gotHead, err := DecodeCommitList(EncodeCommitList(commits, head))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHead != head || !sameCommits(commits, got) {
-		t.Fatal("commit list round trip mismatch")
-	}
-}
-
-func TestDecodeCommitListRejectsTrailing(t *testing.T) {
-	b := EncodeCommitList(testCommits(2, 4), store.Hash{})
-	if _, _, err := DecodeCommitList(append(b, 0)); err == nil {
-		t.Fatal("trailing bytes must fail")
-	}
-	if _, _, err := DecodeCommitList(b[:len(b)-1]); err == nil {
-		t.Fatal("truncation must fail")
+		t.Fatal("hello with a trailing forged count must fail")
 	}
 }
 
@@ -142,7 +115,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 	commits := testCommits(2000, 1024)
 	head := store.Hash{7}
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, commits, head); err != nil {
+	if err := WriteDeltaPacked(&buf, commits, head); err != nil {
 		t.Fatal(err)
 	}
 	// The stream must be made of bounded frames, not one big buffer.
@@ -153,7 +126,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == FrameCommits {
+		if kind == FramePackedCommits {
 			frames++
 			if len(fields[0]) > commitChunkBytes+64<<10 {
 				t.Fatalf("chunk of %d bytes exceeds bound", len(fields[0]))
@@ -178,7 +151,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 func TestDeltaEmpty(t *testing.T) {
 	head := store.Hash{1}
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, nil, head); err != nil {
+	if err := WriteDeltaPacked(&buf, nil, head); err != nil {
 		t.Fatal(err)
 	}
 	got, gotHead, err := ReadDelta(&buf)
@@ -242,13 +215,33 @@ func TestReadDeltaExtraCommitsFail(t *testing.T) {
 	}
 	var chunk Writer
 	for i := range commits {
-		appendCommit(&chunk, commits[i])
+		appendPackedCommit(&chunk, commits[i])
 	}
-	if err := WriteMsg(&buf, FrameCommits, chunk.Bytes()); err != nil {
+	if err := WriteMsg(&buf, FramePackedCommits, chunk.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadDelta(&buf); !errors.Is(err, ErrFraming) {
 		t.Fatalf("overdelivery must fail, got %v", err)
+	}
+}
+
+func TestReadDeltaRejectsRetiredChunkKind(t *testing.T) {
+	// Kind 7 carried unpacked commit chunks; it is retired, so a stream
+	// using it is a framing violation, not a delta.
+	var buf bytes.Buffer
+	var hdr Writer
+	hdr.PutHash(store.Hash{})
+	hdr.PutLen(1)
+	if err := WriteMsg(&buf, FrameDeltaHeader, hdr.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var chunk Writer
+	appendPackedCommit(&chunk, testCommits(1, 8)[0])
+	if err := WriteMsg(&buf, FrameKind(7), chunk.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadDelta(&buf); !errors.Is(err, ErrFraming) {
+		t.Fatalf("retired chunk kind must fail, got %v", err)
 	}
 }
 
@@ -303,16 +296,6 @@ func TestPackedDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteDeltaRejectsPatchCommits(t *testing.T) {
-	// The full-state writer must never silently drop a patch — sending
-	// one to a legacy peer would ship a nil state in its place.
-	commits := packedTestCommits(4)
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, commits, store.Hash{}); !errors.Is(err, ErrFraming) {
-		t.Fatalf("WriteDelta with patch commits = %v, want ErrFraming", err)
-	}
-}
-
 func TestPackedCommitRejectsBadForm(t *testing.T) {
 	var w Writer
 	w.PutLen(0)              // no parents
@@ -338,20 +321,5 @@ func TestPackedCommitRejectsEmptyPatch(t *testing.T) {
 	readPackedCommit(r)
 	if r.Err() == nil {
 		t.Fatal("empty patch field must fail")
-	}
-}
-
-func TestCapsRoundTrip(t *testing.T) {
-	for _, caps := range []uint64{0, CapPatch, CapPatch | 1<<7} {
-		got, err := DecodeCaps(EncodeCaps(caps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != caps {
-			t.Fatalf("caps round trip: got %x, want %x", got, caps)
-		}
-	}
-	if _, err := DecodeCaps([]byte{1, 2}); err == nil {
-		t.Fatal("truncated caps must fail")
 	}
 }

@@ -206,7 +206,7 @@ func TestRestartThenSync(t *testing.T) {
 		// Phase 2: the (restarted) node delta-syncs with the live peer.
 		// Only this sync's traffic is compared — sync counters are
 		// session-scoped, so the meaningful invariant is that the
-		// recovered frontier makes the post-restart sync ship exactly
+		// recovered commit set makes the post-restart sync ship exactly
 		// what the control's would, not re-fetch held history.
 		before := aliceLog.Stats().CommitsRecv
 		if err := alice.SyncWith(bob.Addr()); err != nil {
@@ -224,9 +224,9 @@ func TestRestartThenSync(t *testing.T) {
 	if !slices.Equal(plainState, restartState) {
 		t.Fatalf("restarted run diverged:\n restarted: %v\n control:   %v", restartState, plainState)
 	}
-	// The recovered frontier must be as good as the live one: the
+	// The recovered commit set must be as good as the live one: the
 	// restarted node may not re-fetch history it already holds on disk.
 	if restartRecv != plainRecv {
-		t.Fatalf("restarted run received %d commits, control received %d — recovered frontier is not intact", restartRecv, plainRecv)
+		t.Fatalf("restarted run received %d commits, control received %d — recovered commit set is not intact", restartRecv, plainRecv)
 	}
 }

@@ -13,26 +13,6 @@ import (
 // storage directory and fsync policy.
 type NodeOption = replica.NodeOption
 
-// WithFrontierDense sets the dense generation window of frontier
-// sampling: every ancestor within n generations of the head joins the
-// sync-negotiation sample, so divergences shorter than n cut exactly.
-func WithFrontierDense(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithFrontierDense(n))
-}
-
-// WithFrontierMaxHave caps the number of sampled ancestor hashes a
-// frontier advertises — the constant factor of a re-sync's wire cost.
-func WithFrontierMaxHave(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithFrontierMaxHave(n))
-}
-
-// WithFrontierWalkBudget caps the commits visited while sampling a
-// frontier, bounding negotiation cost on huge DAGs. Past the budget the
-// sample is merely sparser; correctness is unaffected.
-func WithFrontierWalkBudget(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithFrontierWalkBudget(n))
-}
-
 // WithSnapshotEvery sets the pack layer's snapshot spacing in every
 // object store the node opens: states are delta-chained to their parent
 // with a full snapshot at most every n links, so resident bytes track the
@@ -54,7 +34,7 @@ func WithStateCacheSize(n int) NodeOption {
 // every commit and delta-chained state object appended as it happens,
 // compacted whenever the store garbage-collects. Reopening a node of
 // the same name over the same directory resumes each object with its
-// full history, branches, sync frontiers and clocks intact; a log
+// full history, branches and clocks intact; a log
 // damaged by a crash recovers to a verified prefix and re-converges
 // through ordinary delta sync.
 func WithStorage(dir string) NodeOption { return replica.WithStorage(dir) }
@@ -106,8 +86,8 @@ type StorageStats = disk.Stats
 
 // Node is one replica hosting a set of named replicated objects. Create
 // objects with Open; replicate with Listen/SyncWith. Safe for concurrent
-// use, and read-parallel: per-object queries (State, Stats, frontier
-// negotiation, delta export) share a read lock on the object's store and
+// use, and read-parallel: per-object queries (State, Stats, sync
+// reconciliation, delta export) share a read lock on the object's store and
 // run concurrently with each other, serializing only against mutations
 // (Do, Pull, Sync). Merge cost is O(divergence) — the store's
 // generation-guided DAG walks never descend past the merge base — so
@@ -145,8 +125,9 @@ func (n *Node) Addr() string { return n.rn.Addr() }
 func (n *Node) Close() error { return n.rn.Close() }
 
 // SyncWith synchronizes every object this node hosts with the peer at
-// addr over a single connection, object by object: frontiers are
-// exchanged per object and only missing commits cross the wire. Objects
+// addr over a single connection: a converged pair settles with one
+// fingerprint probe, otherwise each object's commit sets are reconciled
+// and only missing commits cross the wire. Objects
 // the peer does not host are skipped (counted in Stats().Misses). After a
 // successful exchange both nodes hold equal states on every shared
 // object.
@@ -157,16 +138,6 @@ func (n *Node) Stats() SyncStats { return n.rn.Stats() }
 
 // ObjectStats returns one object's sync counters.
 func (n *Node) ObjectStats(object string) SyncStats { return n.rn.ObjectStats(object) }
-
-// SetFullSyncOnly forces outgoing syncs onto the legacy full-history
-// protocol; benchmarks use it to compare against delta sync.
-func (n *Node) SetFullSyncOnly(v bool) { n.rn.SetFullSyncOnly(v) }
-
-// SetReconEnabled switches the range-fingerprint set-reconciliation
-// dialect on or off (default on) for both sync roles; disabled, the
-// node negotiates the sampled-frontier dialects instead. Benchmarks use
-// it to compare negotiation strategies.
-func (n *Node) SetReconEnabled(v bool) { n.rn.SetReconEnabled(v) }
 
 // Open returns a typed handle on node n's object named object,
 // creating the object with datatype d if it does not exist yet

@@ -129,8 +129,8 @@ func TestMultiObjectTwoTypesOneConnection(t *testing.T) {
 			}
 		}
 	}
-	if st := a.Stats(); st.Fallbacks != 0 || st.Misses != 0 {
-		t.Fatalf("clean two-object sync must not fall back or miss: %+v", st)
+	if st := a.Stats(); st.Misses != 0 {
+		t.Fatalf("clean two-object sync must not miss: %+v", st)
 	}
 	if got := a.Objects(); !slices.Equal(got, []string{"feed", "hits"}) {
 		t.Fatalf("Objects = %v", got)
@@ -220,14 +220,28 @@ func TestHandleBranchAndMerge(t *testing.T) {
 	}
 }
 
+// logDeltas opens a mergeable log on n, appends to it and reports how
+// many of its store's states are patches: log states grow with every
+// append, so the default snapshot spacing chains most of them.
+func logDeltas(t *testing.T, n *peepul.Node) int {
+	t.Helper()
+	log, err := peepul.Open(n, peepul.MLog, "notes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := log.Do(peepul.MLogOp{Kind: peepul.MLogAppend, Msg: "entry"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log.Store().PackStats().Deltas
+}
+
 // TestFrontierOptionsPlumbThrough: node options reach every object store
-// the node opens — a tighter have cap yields a smaller advertised
-// frontier.
+// the node opens — snapshot spacing 1 stores every state whole where the
+// default delta-chains them.
 func TestFrontierOptionsPlumbThrough(t *testing.T) {
-	n, err := peepul.NewNode("tuned", 1,
-		peepul.WithFrontierMaxHave(4),
-		peepul.WithFrontierDense(2),
-		peepul.WithFrontierWalkBudget(64))
+	n, err := peepul.NewNode("tuned", 1, peepul.WithSnapshotEvery(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +253,10 @@ func TestFrontierOptionsPlumbThrough(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Do(peepul.CounterOp{Kind: peepul.CounterInc, N: 1})
 	}
-	f, err := h.Store().Frontier("tuned")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Have) > 4 {
-		t.Fatalf("frontier advertises %d hashes, cap is 4", len(f.Have))
+	if deltas := logDeltas(t, n); deltas != 0 {
+		t.Fatalf("tuned store chains %d deltas, want every state a snapshot", deltas)
 	}
 
-	// An untuned node over the same history advertises a larger sample.
 	d, err := peepul.NewNode("default", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -260,15 +269,11 @@ func TestFrontierOptionsPlumbThrough(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		hd.Do(peepul.CounterOp{Kind: peepul.CounterInc, N: 1})
 	}
-	fd, err := hd.Store().Frontier("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fd.Have) <= 4 {
-		t.Fatalf("default frontier advertises %d hashes, expected more than the tuned cap", len(fd.Have))
+	if logDeltas(t, d) == 0 {
+		t.Fatal("default store chains no deltas")
 	}
 
-	// Tuned nodes still converge: sampling quality affects bytes, never
+	// Tuned nodes still converge: storage layout affects bytes, never
 	// correctness.
 	if err := d.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
