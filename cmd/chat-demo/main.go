@@ -24,12 +24,10 @@ import (
 
 func main() {
 	data := flag.String("data", "", "storage directory; the demo resumes the conversation across restarts")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence for -data (records between index checkpoints; 0 keeps the default, negative disables)")
-	verify := flag.Bool("verify-on-open", false, "with -data, eagerly verify the whole recovered pack at open instead of the lazy default")
 	debug := flag.String("debug", "", "serve the live debug endpoint (metrics, snapshot, trace, pprof) on this address; the live fleet gives this address to alice and auto-picks ports for the rest")
 	flag.Parse()
 	if *data != "" {
-		durable(*data, *ckptEvery, *verify, *debug)
+		durable(*data, *debug)
 		return
 	}
 	live(*debug)
@@ -48,8 +46,6 @@ func live(debugAddr string) {
 	for i, name := range names {
 		opts := []peepul.NodeOption{
 			peepul.WithMeshInterval(100 * time.Millisecond),
-			peepul.WithMeshJitter(25 * time.Millisecond),
-			peepul.WithMeshBackoff(20*time.Millisecond, 500*time.Millisecond),
 		}
 		if debugAddr != "" {
 			// One fixed address can only bind once: alice gets the asked-for
@@ -191,14 +187,8 @@ func renderRoom(room *peepul.Handle[peepul.ChatState, peepul.ChatOp, peepul.Chat
 
 // durable runs the restartable variant: one durable node, one channel,
 // one new message per run, full history printed from the recovered DAG.
-func durable(dir string, ckptEvery int, verify bool, debugAddr string) {
+func durable(dir, debugAddr string) {
 	opts := []peepul.NodeOption{peepul.WithStorage(dir)}
-	if ckptEvery != 0 {
-		opts = append(opts, peepul.WithCheckpointEvery(ckptEvery))
-	}
-	if verify {
-		opts = append(opts, peepul.WithVerifyOnOpen(true))
-	}
 	if debugAddr != "" {
 		opts = append(opts, peepul.WithDebugAddr(debugAddr))
 	}

@@ -26,9 +26,7 @@ type replica struct {
 
 func open(name string, id int) replica {
 	node, err := peepul.NewNode(name, id,
-		peepul.WithMeshInterval(100*time.Millisecond),
-		peepul.WithMeshJitter(25*time.Millisecond),
-		peepul.WithMeshBackoff(20*time.Millisecond, 500*time.Millisecond))
+		peepul.WithMeshInterval(100*time.Millisecond))
 	if err != nil {
 		panic(err)
 	}

@@ -30,9 +30,7 @@ func main() {
 	for i, name := range names {
 		n, err := peepul.NewNode(name, i+1,
 			peepul.WithDebugAddr("127.0.0.1:0"), // implies WithObservability
-			peepul.WithMeshInterval(50*time.Millisecond),
-			peepul.WithMeshJitter(10*time.Millisecond),
-			peepul.WithMeshBackoff(10*time.Millisecond, 200*time.Millisecond))
+			peepul.WithMeshInterval(50*time.Millisecond))
 		must(err)
 		defer n.Close()
 		h, err := peepul.Open(n, peepul.PNCounter, "requests")

@@ -88,9 +88,7 @@ func chaosFleet(n int, loss float64, partition time.Duration, seed int64) ChaosR
 		names[i] = fmt.Sprintf("bench-c%d", i)
 		node, err := peepul.NewNode(names[i], i+1,
 			peepul.WithTransport(fn.Transport(names[i])),
-			peepul.WithMeshInterval(50*time.Millisecond),
-			peepul.WithMeshJitter(15*time.Millisecond),
-			peepul.WithMeshBackoff(10*time.Millisecond, 200*time.Millisecond))
+			peepul.WithMeshInterval(50*time.Millisecond))
 		if err != nil {
 			panic(err)
 		}

@@ -89,9 +89,7 @@ func meshFleet(topology string, n int, steady time.Duration) MeshRow {
 	fleet := make([]meshNode, n)
 	for i := range fleet {
 		node, err := peepul.NewNode(fmt.Sprintf("bench-m%d", i), i+1,
-			peepul.WithMeshInterval(50*time.Millisecond),
-			peepul.WithMeshJitter(15*time.Millisecond),
-			peepul.WithMeshBackoff(10*time.Millisecond, 200*time.Millisecond))
+			peepul.WithMeshInterval(50*time.Millisecond))
 		if err != nil {
 			panic(err)
 		}

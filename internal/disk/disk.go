@@ -745,9 +745,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Stats returns a snapshot of the log's accounting.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

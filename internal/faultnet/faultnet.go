@@ -140,12 +140,6 @@ func (n *Net) SetLink(from, to string, l Link) {
 	n.links[[2]string{from, to}] = l
 }
 
-// SetLinkBoth configures both directions between a and b.
-func (n *Net) SetLinkBoth(a, b string, l Link) {
-	n.SetLink(a, b, l)
-	n.SetLink(b, a, l)
-}
-
 // link resolves the effective configuration of the directed pair.
 func (n *Net) link(from, to string) Link {
 	n.mu.Lock()

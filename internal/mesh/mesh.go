@@ -5,7 +5,7 @@
 // package supplies that loop as a supervisor per configured peer.
 //
 // Each peer gets one supervisor goroutine running jittered anti-entropy
-// rounds: every Interval (± up to Jitter) the supervisor syncs every
+// rounds: every Interval (plus up to Interval/4) the supervisor syncs every
 // shared object with the peer through the same negotiate-and-ship-missing
 // code path a manual SyncWith uses. Between rounds, local commits are
 // pushed immediately: the replica layer calls NotifyCommit on every local
@@ -18,15 +18,15 @@
 //
 // Failure handling is per peer and classified: a transient failure (a
 // failed dial, a reset — the peer is presumed down) doubles the retry
-// delay (BackoffMin up to BackoffMax) and halves the peer's health
-// score; a success resets the backoff instantly and recovers the score
-// halfway to 1 — fast recovery, so one blip does not linger. A protocol
-// violation (Config.Classify reports FailViolation: corrupt frames, bad
-// hellos, hash mismatches) additionally counts toward quarantine: after
-// QuarantineAfter violations in a row the peer moves to the quarantine
-// schedule (QuarantineMin doubling to QuarantineMax) with the triggering
-// reason recorded in its PeerStats, and stays there until one clean
-// exchange proves it recovered. While a peer is backing off or
+// delay (Interval/8, at least 10ms, up to 4·Interval) and halves the
+// peer's health score; a success resets the backoff instantly and
+// recovers the score halfway to 1 — fast recovery, so one blip does not
+// linger. A protocol violation (Config.Classify reports FailViolation:
+// corrupt frames, bad hellos, hash mismatches) additionally counts
+// toward quarantine: after QuarantineAfter violations in a row the peer
+// moves to the quarantine schedule (QuarantineMin doubling to
+// QuarantineMax) with the triggering reason recorded in its PeerStats,
+// and stays there until one clean exchange proves it recovered. While a peer is backing off or
 // quarantined, pushes to it are suppressed (the outbox keeps
 // accumulating) and the retry timer owns the schedule. Close cancels the
 // engine context — aborting any in-flight dial or exchange — and drains
@@ -93,37 +93,30 @@ const (
 )
 
 // Config tunes the engine. The zero value of any field selects its
-// default; DefaultConfig lists them.
+// default.
 type Config struct {
-	// Interval is the anti-entropy round period per peer.
+	// Interval is the anti-entropy round period per peer (default 2s).
+	// The rest of the per-peer schedule derives from it: each round's
+	// delay gets up to Interval/4 of random jitter, de-synchronizing
+	// supervisors so a fleet does not dial in lockstep, and a failing
+	// peer is retried after Interval/8 (never sooner than 10ms), doubling
+	// per consecutive failure up to 4·Interval.
 	Interval time.Duration
-	// Jitter is the maximum random addition to each round's delay,
-	// de-synchronizing supervisors so a fleet does not dial in lockstep.
-	// Negative disables jitter; zero selects the default Interval/4.
-	Jitter time.Duration
-	// BackoffMin is the retry delay after the first failure; each further
-	// consecutive failure doubles it up to BackoffMax.
-	BackoffMin time.Duration
-	// BackoffMax caps the retry delay.
-	BackoffMax time.Duration
 	// PushDelay is how long a supervisor waits after a commit
 	// notification before draining the outbox, so a burst of commits
-	// coalesces into one push round. Negative disables the wait.
+	// coalesces into one push round (default 5ms).
 	PushDelay time.Duration
 	// OutboxSize bounds the per-peer outbox (distinct dirty objects); an
-	// overflowing outbox degrades to a full anti-entropy round.
+	// overflowing outbox degrades to a full anti-entropy round (default
+	// 64).
 	OutboxSize int
 	// Classify maps a failed exchange's error to its FailureClass. Nil
 	// classifies everything transient (no quarantine).
 	Classify func(error) FailureClass
-	// QuarantineAfter is how many violations in a row — without an
-	// intervening success; transient failures in between do not reset
-	// the streak — move a peer into quarantine.
-	QuarantineAfter int
 	// QuarantineMin is the quarantined retry delay, doubling per further
-	// violation up to QuarantineMax. Both default far above the ordinary
-	// backoff window: a hostile peer is probed occasionally for
-	// recovery, not retried eagerly.
+	// violation up to QuarantineMax (defaults 1m and 15m). Both sit far
+	// above the ordinary backoff window: a hostile peer is probed
+	// occasionally for recovery, not retried eagerly.
 	QuarantineMin time.Duration
 	QuarantineMax time.Duration
 	// Obs, when non-nil, receives the engine's metrics (round outcomes,
@@ -135,61 +128,58 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// DefaultConfig returns the engine defaults: 2s rounds with up to 500ms
-// of jitter, backoff 250ms doubling to 30s, 5ms push coalescing, a
-// 64-object outbox, and quarantine after 3 straight violations with
-// retries from 1m doubling to 15m.
-func DefaultConfig() Config {
-	return Config{
-		Interval:        2 * time.Second,
-		Jitter:          500 * time.Millisecond,
-		BackoffMin:      250 * time.Millisecond,
-		BackoffMax:      30 * time.Second,
-		PushDelay:       5 * time.Millisecond,
-		OutboxSize:      64,
-		QuarantineAfter: 3,
-		QuarantineMin:   time.Minute,
-		QuarantineMax:   15 * time.Minute,
-	}
-}
+// QuarantineAfter is how many violations in a row — without an
+// intervening success; transient failures in between do not reset the
+// streak — move a peer into quarantine.
+const QuarantineAfter = 3
 
 // withDefaults resolves zero fields to the defaults.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.Interval <= 0 {
-		c.Interval = d.Interval
+		c.Interval = 2 * time.Second
 	}
-	switch {
-	case c.Jitter < 0:
-		c.Jitter = 0
-	case c.Jitter == 0:
-		c.Jitter = c.Interval / 4
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = d.BackoffMin
-	}
-	if c.BackoffMax < c.BackoffMin {
-		c.BackoffMax = max(d.BackoffMax, c.BackoffMin)
-	}
-	switch {
-	case c.PushDelay < 0:
-		c.PushDelay = 0
-	case c.PushDelay == 0:
-		c.PushDelay = d.PushDelay
+	if c.PushDelay <= 0 {
+		c.PushDelay = 5 * time.Millisecond
 	}
 	if c.OutboxSize <= 0 {
-		c.OutboxSize = d.OutboxSize
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = d.QuarantineAfter
+		c.OutboxSize = 64
 	}
 	if c.QuarantineMin <= 0 {
-		c.QuarantineMin = d.QuarantineMin
+		c.QuarantineMin = time.Minute
 	}
 	if c.QuarantineMax < c.QuarantineMin {
-		c.QuarantineMax = max(d.QuarantineMax, c.QuarantineMin)
+		c.QuarantineMax = max(15*time.Minute, c.QuarantineMin)
 	}
 	return c
+}
+
+// maxJitter is the largest random addition to a round's delay.
+func (c Config) maxJitter() time.Duration { return c.Interval / 4 }
+
+// minBackoff floors the first retry delay of fast cadences: redialing
+// a peer that just failed sooner than this only adds load to the link.
+const minBackoff = 10 * time.Millisecond
+
+// backoff is the retry delay for the n-th consecutive failure:
+// Interval/8 (at least minBackoff) doubling per failure, capped at
+// 4·Interval.
+func (c Config) backoff(n int) time.Duration {
+	return doubled(max(c.Interval/8, minBackoff), 4*c.Interval, n)
+}
+
+// quarantineBackoff is the retry delay for the n-th violation past the
+// quarantine threshold: QuarantineMin doubling up to QuarantineMax.
+func (c Config) quarantineBackoff(n int) time.Duration {
+	return doubled(c.QuarantineMin, c.QuarantineMax, n)
+}
+
+// doubled is lo doubled n-1 times, capped at hi.
+func doubled(lo, hi time.Duration, n int) time.Duration {
+	d := lo
+	for i := 1; i < n && d < hi; i++ {
+		d *= 2
+	}
+	return min(d, hi)
 }
 
 // PeerStats is a snapshot of one peer's supervisor state.
@@ -471,7 +461,7 @@ func (e *Engine) jitter(max time.Duration) time.Duration {
 // push rounds on kicks, and backoff-timed retries while failing.
 func (e *Engine) supervise(p *peer) {
 	defer e.wg.Done()
-	timer := time.NewTimer(e.jitter(e.cfg.Jitter) + e.cfg.Interval/16)
+	timer := time.NewTimer(e.jitter(e.cfg.maxJitter()) + e.cfg.Interval/16)
 	defer timer.Stop()
 	for {
 		push := false
@@ -484,17 +474,15 @@ func (e *Engine) supervise(p *peer) {
 		case <-p.kick:
 			// Coalesce the burst: commits arriving within PushDelay join
 			// this push instead of paying one round each.
-			if d := e.cfg.PushDelay; d > 0 {
-				coalesce := time.NewTimer(d)
-				select {
-				case <-e.done:
-					coalesce.Stop()
-					return
-				case <-p.removed:
-					coalesce.Stop()
-					return
-				case <-coalesce.C:
-				}
+			coalesce := time.NewTimer(e.cfg.PushDelay)
+			select {
+			case <-e.done:
+				coalesce.Stop()
+				return
+			case <-p.removed:
+				coalesce.Stop()
+				return
+			case <-coalesce.C:
 			}
 			if p.inBackoff() {
 				// A failing peer is the backoff timer's job; the outbox
@@ -547,7 +535,7 @@ func (e *Engine) round(p *peer, objects []string, push bool) error {
 			outcome = "violation"
 			st.Violations++
 			st.ConsecutiveViolations++
-			if !st.Quarantined && st.ConsecutiveViolations >= e.cfg.QuarantineAfter {
+			if !st.Quarantined && st.ConsecutiveViolations >= QuarantineAfter {
 				st.Quarantined = true
 				st.Quarantines++
 				st.QuarantineReason = err.Error()
@@ -557,9 +545,9 @@ func (e *Engine) round(p *peer, objects []string, push bool) error {
 		// its failures look like now — recovery is declared by a clean
 		// exchange, not by the violations merely pausing.
 		if st.Quarantined {
-			st.Backoff = e.quarantineBackoff(st.ConsecutiveViolations - e.cfg.QuarantineAfter + 1)
+			st.Backoff = e.cfg.quarantineBackoff(st.ConsecutiveViolations - QuarantineAfter + 1)
 		} else {
-			st.Backoff = e.backoff(st.ConsecutiveFailures)
+			st.Backoff = e.cfg.backoff(st.ConsecutiveFailures)
 		}
 		e.metrics.round(kind, outcome)
 		e.transitions(p, prevBackoff, prevQuar, st, err)
@@ -610,32 +598,6 @@ func (e *Engine) round(p *peer, objects []string, push bool) error {
 	return nil
 }
 
-// backoff is the retry delay for the n-th consecutive failure:
-// BackoffMin doubling per failure, capped at BackoffMax.
-func (e *Engine) backoff(n int) time.Duration {
-	d := e.cfg.BackoffMin
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= e.cfg.BackoffMax {
-			return e.cfg.BackoffMax
-		}
-	}
-	return min(d, e.cfg.BackoffMax)
-}
-
-// quarantineBackoff is the retry delay for the n-th violation past the
-// quarantine threshold: QuarantineMin doubling up to QuarantineMax.
-func (e *Engine) quarantineBackoff(n int) time.Duration {
-	d := e.cfg.QuarantineMin
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= e.cfg.QuarantineMax {
-			return e.cfg.QuarantineMax
-		}
-	}
-	return min(d, e.cfg.QuarantineMax)
-}
-
 // nextDelay schedules the supervisor's next wake-up: the jittered round
 // interval when healthy, the current backoff (plus a fraction of jitter)
 // when failing.
@@ -644,7 +606,7 @@ func (e *Engine) nextDelay(p *peer, err error) time.Duration {
 		p.mu.Lock()
 		d := p.stats.Backoff
 		p.mu.Unlock()
-		return d + e.jitter(e.cfg.Jitter/4+1)
+		return d + e.jitter(e.cfg.maxJitter()/4+1)
 	}
-	return e.cfg.Interval + e.jitter(e.cfg.Jitter)
+	return e.cfg.Interval + e.jitter(e.cfg.maxJitter())
 }

@@ -60,14 +60,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// fastConfig is a test cadence: rounds every 20ms, no jitter, tight
-// backoff so failure paths run inside the test timeout.
+// fastConfig is a test cadence: rounds every 10ms, so the derived
+// backoff (10ms doubling to 40ms) runs failure paths inside the test
+// timeout.
 func fastConfig() Config {
 	return Config{
-		Interval:   20 * time.Millisecond,
-		Jitter:     -1,
-		BackoffMin: 10 * time.Millisecond,
-		BackoffMax: 40 * time.Millisecond,
+		Interval:   10 * time.Millisecond,
 		PushDelay:  2 * time.Millisecond,
 		OutboxSize: 4,
 	}
@@ -105,7 +103,7 @@ func TestAntiEntropyRounds(t *testing.T) {
 
 func TestPushOnCommitCoalesces(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Interval = 10 * time.Second // isolate the push path
+	cfg.Interval = 2 * time.Second // isolate the push path: next round ≥2s after the probe
 	cfg.PushDelay = 20 * time.Millisecond
 	s := &script{}
 	e := New(s, cfg)
@@ -162,8 +160,8 @@ func TestBackoffGrowsAndRecovers(t *testing.T) {
 		return st.ConsecutiveFailures >= 3
 	})
 	st, _ := e.PeerStats("p1")
-	if st.Backoff < cfg.BackoffMax {
-		t.Fatalf("backoff %v after %d failures, want cap %v", st.Backoff, st.ConsecutiveFailures, cfg.BackoffMax)
+	if want := 4 * cfg.Interval; st.Backoff < want {
+		t.Fatalf("backoff %v after %d failures, want cap %v", st.Backoff, st.ConsecutiveFailures, want)
 	}
 	if st.Score >= 0.5 {
 		t.Fatalf("score %v after repeated failures, want < 0.5", st.Score)
@@ -192,23 +190,49 @@ func TestBackoffGrowsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestBackoffSchedule pins the schedule every mesh interval derives:
+// jitter up to a quarter of the interval, backoff from an eighth of it
+// (floored at 10ms) doubling to four intervals, and the fixed push,
+// outbox and quarantine defaults.
 func TestBackoffSchedule(t *testing.T) {
-	e := New(&script{}, Config{BackoffMin: 10 * time.Millisecond, BackoffMax: 65 * time.Millisecond})
-	defer e.Close()
-	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		65 * time.Millisecond, 65 * time.Millisecond,
-	}
-	for i, w := range want {
-		if got := e.backoff(i + 1); got != w {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		interval time.Duration // zero: the default
+		jitter   time.Duration
+		backoff  []time.Duration // failures 1, 2, ...
+	}{
+		{0, ms(500), []time.Duration{
+			ms(250), ms(500), time.Second, 2 * time.Second, 4 * time.Second,
+			8 * time.Second, 8 * time.Second}},
+		{ms(50), ms(12.5), []time.Duration{
+			ms(10), ms(20), ms(40), ms(80), ms(160), ms(200), ms(200)}},
+		{ms(10), ms(2.5), []time.Duration{ms(10), ms(20), ms(40), ms(40)}},
+	} {
+		c := Config{Interval: tc.interval}.withDefaults()
+		if got := c.maxJitter(); got != tc.jitter {
+			t.Errorf("interval %v: jitter %v, want %v", c.Interval, got, tc.jitter)
 		}
+		for i, w := range tc.backoff {
+			if got := c.backoff(i + 1); got != w {
+				t.Errorf("interval %v: backoff(%d) = %v, want %v", c.Interval, i+1, got, w)
+			}
+		}
+		if c.PushDelay != 5*time.Millisecond || c.OutboxSize != 64 {
+			t.Errorf("push delay %v, outbox %d, want 5ms and 64", c.PushDelay, c.OutboxSize)
+		}
+		if c.QuarantineMin != time.Minute || c.QuarantineMax != 15*time.Minute || QuarantineAfter != 3 {
+			t.Errorf("quarantine after %d, %v..%v, want 3, 1m..15m",
+				QuarantineAfter, c.QuarantineMin, c.QuarantineMax)
+		}
+	}
+	if got := (Config{}).withDefaults().Interval; got != 2*time.Second {
+		t.Errorf("default interval %v, want 2s", got)
 	}
 }
 
 func TestOutboxOverflowDegradesToFullRound(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Interval = 10 * time.Second
+	cfg.Interval = 2 * time.Second
 	cfg.OutboxSize = 2
 	cfg.PushDelay = 20 * time.Millisecond
 	s := &script{}
@@ -233,7 +257,7 @@ func TestOutboxOverflowDegradesToFullRound(t *testing.T) {
 
 func TestUninterestedObjectsSkipPushes(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Interval = 10 * time.Second
+	cfg.Interval = 2 * time.Second
 	s := &script{}
 	s.fn = func(_ context.Context, n int, addr string, objects []string) (Report, error) {
 		if objects == nil {

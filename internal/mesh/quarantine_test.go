@@ -26,7 +26,6 @@ func violationConfig() Config {
 		}
 		return FailTransient
 	}
-	c.QuarantineAfter = 3
 	c.QuarantineMin = 60 * time.Millisecond
 	c.QuarantineMax = 240 * time.Millisecond
 	return c

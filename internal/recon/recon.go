@@ -67,9 +67,6 @@ func MakeItem(prefix uint64, addr [AddrSize]byte) Item {
 	return it
 }
 
-// Prefix returns the item's locality prefix.
-func (it Item) Prefix() uint64 { return binary.BigEndian.Uint64(it[:PrefixSize]) }
-
 // Addr returns the item's content address.
 func (it Item) Addr() [AddrSize]byte {
 	var h [AddrSize]byte

@@ -74,9 +74,9 @@ func TestChaosMeshConvergesAndQuarantinesCorrupter(t *testing.T) {
 	for i, name := range names {
 		nodes[i] = newMeshCounterNode(t, name, i+1,
 			replica.WithTransport(fn.Transport(name)),
+			// 300ms idle bound: 1.8s sessions, quarantine after three
+			// violations in a row, retried from 600ms doubling to 9s.
 			replica.WithSyncTimeout(300*time.Millisecond),
-			replica.WithSessionTimeout(2*time.Second),
-			replica.WithMeshQuarantine(2, 100*time.Millisecond, time.Second),
 			replica.WithObservability(),
 		)
 	}

@@ -38,20 +38,19 @@ func waitGoroutines(t *testing.T, baseline int) {
 		runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 }
 
-// TestDialStormShedsExcessInbound: with a tiny inbound cap, a storm of
-// silent connections is shed promptly — the excess are closed rather
+// TestDialStormShedsExcessInbound: a storm of silent connections past
+// the inbound cap (64) is shed promptly — the excess are closed rather
 // than piling up handler goroutines — and the node keeps serving real
 // syncs once the storm passes.
 func TestDialStormShedsExcessInbound(t *testing.T) {
 	srv := newMeshCounterNode(t, "srv", 1,
-		replica.WithMaxInbound(2),
 		replica.WithSyncTimeout(200*time.Millisecond))
 	inc(t, srv, 9)
 
-	// 20 stormers connect and say nothing. At most 2 occupy handlers
+	// 100 stormers connect and say nothing. At most 64 occupy handlers
 	// (until the sync timeout cuts them); the rest must be shed.
-	conns := make([]net.Conn, 0, 20)
-	for i := 0; i < 20; i++ {
+	conns := make([]net.Conn, 0, 100)
+	for i := 0; i < 100; i++ {
 		c, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -196,9 +195,9 @@ func TestSyncTimeoutCutsSilentPeer(t *testing.T) {
 // progress forever under the idle deadline alone; the session deadline
 // must cut the connection regardless.
 func TestSessionTimeoutCutsDribblingPeer(t *testing.T) {
+	// A 150ms idle bound gives a 900ms session bound.
 	srv := newMeshCounterNode(t, "srv", 1,
-		replica.WithSyncTimeout(150*time.Millisecond),
-		replica.WithSessionTimeout(300*time.Millisecond))
+		replica.WithSyncTimeout(150*time.Millisecond))
 	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

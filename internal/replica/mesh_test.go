@@ -16,13 +16,11 @@ import (
 	"repro/internal/wire"
 )
 
-// meshOpts is the tight daemon cadence the integration tests run at.
+// meshOpts is the tight daemon cadence the integration tests run at:
+// 25ms rounds, so up to 6.25ms of jitter and backoff 10ms doubling to
+// 100ms.
 func meshOpts() []replica.NodeOption {
-	return []replica.NodeOption{
-		replica.WithMeshInterval(25 * time.Millisecond),
-		replica.WithMeshJitter(5 * time.Millisecond),
-		replica.WithMeshBackoff(10*time.Millisecond, 100*time.Millisecond),
-	}
+	return []replica.NodeOption{replica.WithMeshInterval(25 * time.Millisecond)}
 }
 
 // newMeshCounterNode builds a listening counter node with daemon-tuned

@@ -149,9 +149,6 @@ func openRecoveredStore[S, Op, Val any](n *Node, log *disk.Log, rec *disk.Recove
 		}
 	}
 	storeOpts := append(n.cfg.storeOptions(), store.WithPersister(log))
-	if n.cfg.verifyOnOpen {
-		storeOpts = append(storeOpts, store.WithVerifyOnOpen(true))
-	}
 	st, err := store.OpenRecovered(impl, codec, n.name, n.replicaID*64, &rec.State, storeOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: recovering %q: %v", ErrObject, object, err)

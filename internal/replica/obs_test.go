@@ -50,7 +50,7 @@ func newObsCounterNode(t *testing.T, name string, id int, opts ...replica.NodeOp
 // the race detector is the assertion.
 func TestStatsSurfacesRaceFree(t *testing.T) {
 	a := newObsCounterNode(t, "a", 1, replica.WithObservability(),
-		replica.WithMeshInterval(5*time.Millisecond), replica.WithMeshJitter(time.Millisecond))
+		replica.WithMeshInterval(5*time.Millisecond))
 	b := newCounterNode(t, "b", 2)
 	c := newCounterNode(t, "c", 3)
 

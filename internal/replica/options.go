@@ -1,8 +1,9 @@
 package replica
 
-// Node construction options. A NodeOption configures node-level concerns
-// — durable storage, fsync policy — or carries store options through to
-// every object store the node opens.
+// Node construction options: one per concern a deployment varies —
+// where to store and how durably, whom to talk to and how often, how
+// long a silent peer may stall an exchange, what transport to use, and
+// whether to observe the node.
 
 import (
 	"path/filepath"
@@ -15,43 +16,22 @@ import (
 	"repro/internal/store"
 )
 
-// nodeConfig collects a node's construction-time settings.
+// nodeConfig collects a node's construction-time settings: one value
+// per concern. Everything else a node runs on is a constant or derives
+// from one of these (see syncTimeout and meshConfig).
 type nodeConfig struct {
-	storeOpts  []store.Option
 	storageDir string
 	fsync      disk.Policy
-	segBytes   int64
-	// checkpointEvery overrides the log's checkpoint cadence when ckptSet
-	// (zero and below disable checkpoints); verifyOnOpen turns the full
-	// pack verification back on at open time.
-	checkpointEvery int
-	ckptSet         bool
-	verifyOnOpen    bool
-	// peers seeds the mesh engine's supervised peer set; the mesh*
-	// fields tune its cadence (zero values keep the engine defaults,
-	// meshJitterSet distinguishes "explicitly no jitter" from unset).
-	peers          []string
-	meshInterval   time.Duration
-	meshJitter     time.Duration
-	meshJitterSet  bool
-	meshBackoffMin time.Duration
-	meshBackoffMax time.Duration
-	// meshQuar* tune the quarantine schedule for protocol-violating
-	// peers (zero values keep the engine defaults).
-	meshQuarAfter int
-	meshQuarMin   time.Duration
-	meshQuarMax   time.Duration
+	// peers seeds the mesh engine's supervised peer set; meshInterval is
+	// its round period (zero keeps the engine default), from which the
+	// engine derives jitter and backoff.
+	peers        []string
+	meshInterval time.Duration
 	// transport overrides how the node dials and listens (nil = TCP).
 	transport Transport
-	// maxInbound caps concurrent inbound sync sessions; zero selects the
-	// default, negative means unlimited.
-	maxInbound int
-	// syncTO is the per-read/write idle bound of a sync exchange;
-	// sessionTO bounds a whole session (sessionTOSet distinguishes
-	// "explicitly unbounded" from unset).
-	syncTO       time.Duration
-	sessionTO    time.Duration
-	sessionTOSet bool
+	// syncTO is the per-read/write idle bound of a sync exchange; the
+	// whole-session bound and the quarantine schedule scale with it.
+	syncTO time.Duration
 	// obsEnabled turns on the node's metrics registry and flight
 	// recorder (WithObservability, or WithDebugAddr which implies it);
 	// debugAddr, when set, serves the live debug endpoint. obsReg and
@@ -63,9 +43,19 @@ type nodeConfig struct {
 	obsRec     *obs.Recorder
 }
 
-// defaultMaxInbound is the default cap on concurrent inbound sync
-// sessions.
-const defaultMaxInbound = 64
+// maxInbound caps concurrent inbound sync sessions: connections
+// accepted past it are closed promptly and counted in
+// SyncStats.InboundShed, so a dial storm cannot pile up goroutines.
+const maxInbound = 64
+
+// Bounds that scale with the sync idle bound T (30s by default): a
+// whole session may run 6·T, and a quarantined peer is retried after
+// 2·T, doubling per further violation up to 30·T.
+const (
+	sessionPerIdle       = 6
+	quarantineMinPerIdle = 2
+	quarantineMaxPerIdle = 30
+)
 
 // transportOrTCP resolves the node's transport.
 func (c *nodeConfig) transportOrTCP() Transport {
@@ -73,17 +63,6 @@ func (c *nodeConfig) transportOrTCP() Transport {
 		return c.transport
 	}
 	return TCPTransport{}
-}
-
-// inboundLimit resolves the inbound session cap.
-func (c *nodeConfig) inboundLimit() int {
-	switch {
-	case c.maxInbound > 0:
-		return c.maxInbound
-	case c.maxInbound < 0:
-		return int(^uint(0) >> 1) // effectively unlimited
-	}
-	return defaultMaxInbound
 }
 
 // syncTimeout resolves the per-operation idle bound.
@@ -94,22 +73,8 @@ func (c *nodeConfig) syncTimeout() time.Duration {
 	return defaultSyncTimeout
 }
 
-// sessionTimeout resolves the whole-session bound (zero = unbounded).
-func (c *nodeConfig) sessionTimeout() time.Duration {
-	if c.sessionTOSet {
-		return max(c.sessionTO, 0)
-	}
-	return defaultSessionTimeout
-}
-
 // NodeOption adjusts node construction.
 type NodeOption func(*nodeConfig)
-
-// WithStoreOptions passes store options (snapshot spacing, cache sizes)
-// through to every object store the node opens.
-func WithStoreOptions(opts ...store.Option) NodeOption {
-	return func(c *nodeConfig) { c.storeOpts = append(c.storeOpts, opts...) }
-}
 
 // WithStorage makes the node durable: every object opened on it keeps a
 // segmented pack log (internal/disk) in its own subdirectory of dir, and
@@ -125,31 +90,6 @@ func WithFsync(p disk.Policy) NodeOption {
 	return func(c *nodeConfig) { c.fsync = p }
 }
 
-// WithSegmentBytes sets the log segment rotation threshold of the
-// node's object logs; it has no effect without WithStorage.
-func WithSegmentBytes(n int64) NodeOption {
-	return func(c *nodeConfig) { c.segBytes = n }
-}
-
-// WithCheckpointEvery sets the checkpoint cadence of the node's object
-// logs: after n mutations (a floor — deep logs throttle to geometric
-// spacing) the log writes an index checkpoint, so reopening seeks past
-// history instead of replaying it. Zero or negative disables
-// checkpointing. It has no effect without WithStorage.
-func WithCheckpointEvery(n int) NodeOption {
-	return func(c *nodeConfig) { c.checkpointEvery, c.ckptSet = n, true }
-}
-
-// WithVerifyOnOpen makes every object open fully verify its recovered
-// pack — reassembling and decoding each retained state — before the
-// object is handed out, failing at open instead of on first read. The
-// default (off) validates the commit index only and leaves state bytes
-// on disk until used, which is what keeps reopening flat in history
-// depth. It has no effect without WithStorage.
-func WithVerifyOnOpen(v bool) NodeOption {
-	return func(c *nodeConfig) { c.verifyOnOpen = v }
-}
-
 // WithPeers seeds the node's always-on sync daemon with peer addresses:
 // from construction on, a supervisor goroutine per address runs jittered
 // anti-entropy rounds and receives push-on-commit notifications, with
@@ -160,34 +100,12 @@ func WithPeers(addrs ...string) NodeOption {
 }
 
 // WithMeshInterval sets the daemon's anti-entropy round period per peer
-// (default 2s). Zero and below keep the default.
+// (default 2s). The rest of the schedule derives from it: up to a
+// quarter interval of jitter per round, and retries after failures from
+// an eighth of the interval (at least 10ms) doubling to four intervals.
+// Zero and below keep the default.
 func WithMeshInterval(d time.Duration) NodeOption {
 	return func(c *nodeConfig) { c.meshInterval = d }
-}
-
-// WithMeshJitter caps the random addition to each round's delay (default
-// a quarter of the interval). Zero disables jitter entirely.
-func WithMeshJitter(d time.Duration) NodeOption {
-	return func(c *nodeConfig) { c.meshJitter, c.meshJitterSet = d, true }
-}
-
-// WithMeshBackoff sets the daemon's failure retry window: min is the
-// delay after a first failure, doubling per consecutive failure up to
-// max (defaults 250ms and 30s). Non-positive values keep the defaults.
-func WithMeshBackoff(min, max time.Duration) NodeOption {
-	return func(c *nodeConfig) { c.meshBackoffMin, c.meshBackoffMax = min, max }
-}
-
-// WithMeshQuarantine tunes how the daemon quarantines protocol-violating
-// peers: after violations in a row without an intervening success (ones
-// the classifier marks — corrupt frames, bad hellos, hash mismatches) a
-// peer moves to the quarantine retry schedule, min doubling to max per
-// further violation (defaults 3, 1m, 15m). Non-positive values keep the
-// defaults. PeerMeshStats reports the state and the recorded reason.
-func WithMeshQuarantine(after int, min, max time.Duration) NodeOption {
-	return func(c *nodeConfig) {
-		c.meshQuarAfter, c.meshQuarMin, c.meshQuarMax = after, min, max
-	}
 }
 
 // WithTransport makes the node dial and listen through t instead of
@@ -197,18 +115,14 @@ func WithTransport(t Transport) NodeOption {
 	return func(c *nodeConfig) { c.transport = t }
 }
 
-// WithMaxInbound caps the node's concurrent inbound sync sessions
-// (default 64): connections accepted past the cap are closed promptly
-// and counted in SyncStats.InboundShed, so a dial storm cannot pile up
-// goroutines. Zero keeps the default; negative removes the cap.
-func WithMaxInbound(n int) NodeOption {
-	return func(c *nodeConfig) { c.maxInbound = n }
-}
-
 // WithSyncTimeout bounds how long one read or write of a sync exchange
 // may stall before the connection errors out (default 30s). A peer that
 // keeps making progress can transfer arbitrarily much; one that goes
-// silent is cut off. Zero and below keep the default.
+// silent is cut off. A whole session may run six times as long (3m by
+// default) — the cap on how long a dribbling peer can hold the node's
+// sync freeze — and a peer quarantined for protocol violations is
+// retried after twice d, doubling to thirty times d (1m and 15m by
+// default). Zero and below keep the default.
 func WithSyncTimeout(d time.Duration) NodeOption {
 	return func(c *nodeConfig) { c.syncTO = d }
 }
@@ -234,45 +148,26 @@ func WithDebugAddr(addr string) NodeOption {
 	return func(c *nodeConfig) { c.debugAddr, c.obsEnabled = addr, true }
 }
 
-// WithSessionTimeout bounds a whole sync session, client or server side
-// (default 3m). The idle timeout cannot stop a dribbling peer — one
-// byte per idle window is progress forever — and a client exchange
-// holds the node's branch freeze, so this is the hard cap on how long
-// any one peer can hold it. Zero or negative disables the bound.
-func WithSessionTimeout(d time.Duration) NodeOption {
-	return func(c *nodeConfig) { c.sessionTO, c.sessionTOSet = d, true }
-}
-
 // meshConfig assembles the mesh engine configuration.
 func (c *nodeConfig) meshConfig() mesh.Config {
-	mc := mesh.Config{
-		Interval:        c.meshInterval,
-		BackoffMin:      c.meshBackoffMin,
-		BackoffMax:      c.meshBackoffMax,
-		Classify:        classifyFailure,
-		QuarantineAfter: c.meshQuarAfter,
-		QuarantineMin:   c.meshQuarMin,
-		QuarantineMax:   c.meshQuarMax,
+	idle := c.syncTimeout()
+	return mesh.Config{
+		Interval:      c.meshInterval,
+		Classify:      classifyFailure,
+		QuarantineMin: quarantineMinPerIdle * idle,
+		QuarantineMax: quarantineMaxPerIdle * idle,
+		Obs:           c.obsReg,
+		Recorder:      c.obsRec,
 	}
-	if c.meshJitterSet {
-		mc.Jitter = c.meshJitter
-		if c.meshJitter == 0 {
-			mc.Jitter = -1 // explicit zero means "no jitter", not "default"
-		}
-	}
-	mc.Obs = c.obsReg
-	mc.Recorder = c.obsRec
-	return mc
 }
 
 // storeOptions assembles the store options for one object, including
 // the node's observability registry when enabled.
 func (c *nodeConfig) storeOptions() []store.Option {
-	opts := append([]store.Option(nil), c.storeOpts...)
-	if c.obsReg != nil {
-		opts = append(opts, store.WithObs(c.obsReg))
+	if c.obsReg == nil {
+		return nil
 	}
-	return opts
+	return []store.Option{store.WithObs(c.obsReg)}
 }
 
 // objectDirName maps an object name to a filesystem-safe directory name:
@@ -306,12 +201,6 @@ func (c *nodeConfig) objectDir(object string) string {
 // logOptions assembles the disk options for one object log.
 func (c *nodeConfig) logOptions() []disk.Option {
 	opts := []disk.Option{disk.WithFsync(c.fsync)}
-	if c.segBytes > 0 {
-		opts = append(opts, disk.WithSegmentBytes(c.segBytes))
-	}
-	if c.ckptSet {
-		opts = append(opts, disk.WithCheckpointEvery(c.checkpointEvery))
-	}
 	if c.obsReg != nil {
 		opts = append(opts, disk.WithObs(c.obsReg))
 	}

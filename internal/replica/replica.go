@@ -131,7 +131,7 @@ type SyncStats struct {
 	// unless a concurrent exchange delivered the same commits first.
 	RedundantCommits int64
 	// InboundShed counts inbound connections closed unserved because the
-	// concurrent-session cap (WithMaxInbound) was reached.
+	// concurrent-session cap (maxInbound) was reached.
 	InboundShed int64
 }
 
@@ -190,13 +190,6 @@ func countPatches(commits []store.ExportedCommit) int64 {
 // peer).
 const defaultSyncTimeout = 30 * time.Second
 
-// defaultSessionTimeout bounds a whole sync session (override or
-// disable with WithSessionTimeout). The idle timeout alone cannot stop
-// a dribbling peer — one byte per idle window makes progress forever —
-// and a client exchange holds the node's sync freeze, so the session
-// bound is what caps how long a hostile peer can hold syncMu.
-const defaultSessionTimeout = 3 * time.Minute
-
 // countedConn counts the bytes crossing a connection into the node's
 // aggregate stats, the stats of the object whose exchange is in flight,
 // and (client side) the per-exchange counters the mesh engine attributes
@@ -207,8 +200,8 @@ type countedConn struct {
 	total *syncStats
 	call  *syncStats // one exchange's counters; nil on inbound handlers
 	obj   atomic.Pointer[syncStats]
-	// idle is the per-operation stall bound; sessionEnd (zero = none) is
-	// the whole-session deadline no refresh may extend past.
+	// idle is the per-operation stall bound; sessionEnd is the
+	// whole-session deadline no refresh may extend past.
 	idle       time.Duration
 	sessionEnd time.Time
 	// metrics feeds the per-frame wire counters (nil when the node runs
@@ -230,7 +223,7 @@ func (c *countedConn) FrameWrote(kind wire.FrameKind, bytes int) {
 // session end.
 func (c *countedConn) stamp() time.Time {
 	d := time.Now().Add(c.idle)
-	if !c.sessionEnd.IsZero() && c.sessionEnd.Before(d) {
+	if c.sessionEnd.Before(d) {
 		d = c.sessionEnd
 	}
 	return d
@@ -269,11 +262,13 @@ func (c *countedConn) Write(p []byte) (int, error) {
 // newConn wraps a session connection with the node's byte accounting
 // and deadline policy.
 func (n *Node) newConn(conn net.Conn, call *syncStats) *countedConn {
-	c := &countedConn{Conn: conn, total: &n.total, call: call, idle: n.cfg.syncTimeout(), metrics: n.metrics}
-	if d := n.cfg.sessionTimeout(); d > 0 {
-		c.sessionEnd = time.Now().Add(d)
-	}
-	return c
+	// The idle bound alone cannot stop a dribbling peer — one byte per
+	// idle window makes progress forever — and a client exchange holds
+	// the node's sync freeze, so the session bound is what caps how long
+	// a hostile peer can hold syncMu.
+	idle := n.cfg.syncTimeout()
+	return &countedConn{Conn: conn, total: &n.total, call: call, idle: idle,
+		sessionEnd: time.Now().Add(sessionPerIdle * idle), metrics: n.metrics}
 }
 
 // dialTimeout bounds a sync dial to a peer; context cancellation (node
@@ -355,9 +350,9 @@ const MaxReplicaID = 1023
 // NewNode creates a replica named name with fleet-unique id replicaID.
 // Node names double as branch names in each object's embedded store and
 // as peer identities on the wire; names and ids must be unique across the
-// fleet. Options configure durable storage (WithStorage, WithFsync) and
-// per-object store tunables (WithStoreOptions); they apply to every
-// object subsequently opened on the node.
+// fleet. Options configure durable storage (WithStorage, WithFsync),
+// the sync daemon, timeouts, transport and observability; storage
+// options apply to every object subsequently opened on the node.
 func NewNode(name string, replicaID int, opts ...NodeOption) (*Node, error) {
 	if replicaID < 0 || replicaID > MaxReplicaID {
 		return nil, fmt.Errorf("replica: id %d out of range [0, %d]", replicaID, MaxReplicaID)
@@ -537,14 +532,14 @@ const (
 )
 
 // serve accepts inbound sync sessions, one handler goroutine each, with
-// concurrency capped by a semaphore (WithMaxInbound): a dial storm gets
+// concurrency capped by a semaphore (maxInbound): a dial storm gets
 // its excess connections closed promptly instead of an unbounded
 // goroutine pile-up (counted in SyncStats.InboundShed). Accept errors
 // back off exponentially, as net/http does; the wait watches n.closed so
 // Close stays prompt.
 func (n *Node) serve() {
 	defer n.wg.Done()
-	sem := make(chan struct{}, n.cfg.inboundLimit())
+	sem := make(chan struct{}, maxInbound)
 	var backoff time.Duration
 	for {
 		conn, err := n.ln.Accept()

@@ -8,7 +8,6 @@ package replica
 import (
 	"context"
 	"net"
-	"time"
 )
 
 // Transport is how a node reaches the network: Dial opens a client sync
@@ -21,24 +20,17 @@ type Transport interface {
 	Listen(addr string) (net.Listener, error)
 }
 
-// TCPTransport is the default Transport: plain TCP with a bounded dial.
-type TCPTransport struct {
-	// DialTimeout bounds one dial attempt; zero selects the package
-	// default (10s). Context cancellation still aborts earlier.
-	DialTimeout time.Duration
-}
+// TCPTransport is the default Transport: plain TCP with a bounded dial
+// (10s; context cancellation aborts earlier).
+type TCPTransport struct{}
 
 // Dial opens a TCP connection to addr.
-func (t TCPTransport) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	timeout := t.DialTimeout
-	if timeout <= 0 {
-		timeout = dialTimeout
-	}
-	d := net.Dialer{Timeout: timeout}
+func (TCPTransport) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
 	return d.DialContext(ctx, "tcp", addr)
 }
 
 // Listen binds a TCP listener on addr.
-func (t TCPTransport) Listen(addr string) (net.Listener, error) {
+func (TCPTransport) Listen(addr string) (net.Listener, error) {
 	return net.Listen("tcp", addr)
 }

@@ -303,3 +303,52 @@ func TestEncodedStateMatchesCodec(t *testing.T) {
 		t.Fatal("EncodedState differs from the codec encoding of the head")
 	}
 }
+
+// TestMixedSnapshotSpacingConverges: snapshot spacing is a storage
+// layout, never a semantics. A store keeping every state whole and one
+// delta-chaining them exchange packed histories both ways and end on
+// the same head.
+func TestMixedSnapshotSpacingConverges(t *testing.T) {
+	whole := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "a", 0,
+		store.WithSnapshotEvery(1))
+	chained := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "b", 64)
+	appendN(t, whole, "a", 20, "a")
+	appendN(t, chained, "b", 20, "b")
+	if d := whole.PackStats().Deltas; d != 0 {
+		t.Fatalf("spacing 1 chains %d deltas, want every state whole", d)
+	}
+	if chained.PackStats().Deltas == 0 {
+		t.Fatal("default spacing chains no deltas")
+	}
+
+	// b pulls a's history, then a pulls the merged result back.
+	for _, x := range []struct {
+		src, dst          *store.Store[mlog.State, mlog.Op, mlog.Val]
+		srcBranch, branch string
+	}{{whole, chained, "a", "b"}, {chained, whole, "b", "a"}} {
+		commits, head, err := x.src.ExportSincePacked(x.srcBranch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		track := "remote/" + x.srcBranch
+		if err := x.dst.Import(track, commits, head); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.dst.Pull(x.branch, track); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ha, _ := whole.HeadHash("a")
+	hb, _ := chained.HeadHash("b")
+	if ha != hb {
+		t.Fatalf("heads differ after exchange: %x vs %x", ha[:4], hb[:4])
+	}
+	if got, _ := whole.Head("a"); len(got) != 40 {
+		t.Fatalf("converged log has %d entries, want 40", len(got))
+	}
+	for _, s := range []*store.Store[mlog.State, mlog.Op, mlog.Val]{whole, chained} {
+		if err := s.VerifyPack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -63,13 +63,13 @@ func TestDurableRestartResume(t *testing.T) {
 }
 
 // TestStorageStatsCheckpoint: StorageStats reports the checkpoint
-// machinery — checkpoints written at the configured cadence, the age of
-// the newest one (records since it), and how the last open recovered:
-// "cold" for a fresh directory, "checkpoint" after a clean restart.
+// machinery — checkpoints written at the log's cadence (every 1024
+// operations), the age of the newest one (records since it), and how
+// the last open recovered: "cold" for a fresh directory, "checkpoint"
+// after a clean restart.
 func TestStorageStatsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	n, err := peepul.NewNode("alice", 1,
-		peepul.WithStorage(dir), peepul.WithCheckpointEvery(4), peepul.WithVerifyOnOpen(true))
+	n, err := peepul.NewNode("alice", 1, peepul.WithStorage(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,8 @@ func TestStorageStatsCheckpoint(t *testing.T) {
 	if st, ok := log.StorageStats(); !ok || st.RecoveryMode != "cold" {
 		t.Fatalf("fresh durable object: RecoveryMode = %q ok=%v, want cold", st.RecoveryMode, ok)
 	}
-	for i := 0; i < 10; i++ {
+	const ops = 1100
+	for i := 0; i < ops; i++ {
 		if _, err := log.Do(peepul.MLogOp{Kind: peepul.MLogAppend, Msg: "m"}); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestStorageStatsCheckpoint(t *testing.T) {
 		t.Fatal("durable object reported no storage")
 	}
 	if st.Checkpoints == 0 {
-		t.Fatalf("no checkpoints after 10 ops at cadence 4: %+v", st)
+		t.Fatalf("no checkpoints after %d ops at cadence 1024: %+v", ops, st)
 	}
 	if st.CheckpointAge == 0 || st.CheckpointAge >= st.Records {
 		t.Fatalf("CheckpointAge = %d with %d records — expected a mid-session age between the two", st.CheckpointAge, st.Records)
@@ -99,8 +100,7 @@ func TestStorageStatsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n2, err := peepul.NewNode("alice", 1,
-		peepul.WithStorage(dir), peepul.WithCheckpointEvery(4), peepul.WithVerifyOnOpen(true))
+	n2, err := peepul.NewNode("alice", 1, peepul.WithStorage(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

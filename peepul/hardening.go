@@ -1,9 +1,9 @@
 package peepul
 
-// Node hardening knobs: the transport injection point and the bounds
-// that keep one hostile or broken peer from exhausting a node — the
-// inbound session cap, the per-operation idle timeout, and the
-// whole-session deadline. See DESIGN.md, "Failure model & hardening".
+// Node hardening: the transport injection point and the idle timeout
+// that, with the bounds derived from it, keeps one hostile or broken
+// peer from exhausting a node. The inbound session cap is a constant
+// 64. See DESIGN.md, "Failure model & hardening".
 
 import (
 	"time"
@@ -24,37 +24,16 @@ type TCPTransport = replica.TCPTransport
 // plain TCP.
 func WithTransport(t Transport) NodeOption { return replica.WithTransport(t) }
 
-// WithMaxInbound caps the node's concurrent inbound sync sessions
-// (default 64): connections accepted past the cap are closed promptly
-// and counted in Stats().InboundShed, so a dial storm can never pile up
-// an unbounded number of handler goroutines. Zero keeps the default;
-// negative removes the cap.
-func WithMaxInbound(n int) NodeOption { return replica.WithMaxInbound(n) }
-
 // WithSyncTimeout bounds how long one read or write of a sync exchange
 // may stall before the connection errors out (default 30s). A peer that
 // keeps making progress can transfer arbitrarily much; one that goes
-// silent is cut off instead of wedging the exchange. Zero and below
+// silent is cut off instead of wedging the exchange. The other
+// hardening bounds scale with d: a whole session may run 6·d (3m by
+// default) — the idle bound cannot stop a dribbling peer, and a client
+// exchange freezes the node's branches for its duration — and a peer
+// that commits protocol violations (corrupt frames, bad hellos, hash
+// mismatches) three times in a row is quarantined, retried after 2·d
+// doubling to 30·d (1m and 15m by default) until one clean exchange
+// lifts it. Transient network failures never quarantine. Zero and below
 // keep the default.
 func WithSyncTimeout(d time.Duration) NodeOption { return replica.WithSyncTimeout(d) }
-
-// WithSessionTimeout bounds a whole sync session, client or server side
-// (default 3m). The idle timeout cannot stop a dribbling peer — one
-// byte per idle window is progress forever, and a client exchange
-// freezes the node's branches for its duration — so this is the hard
-// cap on how long any single session can run. Zero or negative
-// disables the bound.
-func WithSessionTimeout(d time.Duration) NodeOption { return replica.WithSessionTimeout(d) }
-
-// WithMeshQuarantine tunes how the sync daemon quarantines
-// protocol-violating peers: after `after` violations in a row (corrupt
-// frames, bad hellos, hash mismatches — without an intervening clean
-// exchange) the peer moves to the quarantine retry schedule, min
-// doubling to max per further violation (defaults 3, 1m, 15m).
-// Transient network failures never quarantine: an unreachable peer
-// keeps the ordinary exponential backoff. MeshStats reports the
-// quarantine state and its recorded reason per peer. Non-positive
-// values keep the defaults.
-func WithMeshQuarantine(after int, min, max time.Duration) NodeOption {
-	return replica.WithMeshQuarantine(after, min, max)
-}

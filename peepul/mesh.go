@@ -24,18 +24,12 @@ import (
 func WithPeers(addrs ...string) NodeOption { return replica.WithPeers(addrs...) }
 
 // WithMeshInterval sets the daemon's anti-entropy round period per peer
-// (default 2s). Zero and below keep the default.
+// (default 2s). The rest of the schedule derives from it: each round
+// waits up to a quarter interval of extra jitter, de-synchronizing a
+// fleet's supervisors, and an unreachable peer is retried after an
+// eighth of the interval (at least 10ms), doubling per failure up to
+// four intervals. Zero and below keep the default.
 func WithMeshInterval(d time.Duration) NodeOption { return replica.WithMeshInterval(d) }
-
-// WithMeshJitter caps the random addition to each round's delay
-// (default a quarter of the interval), de-synchronizing a fleet's
-// supervisors. Zero disables jitter entirely.
-func WithMeshJitter(d time.Duration) NodeOption { return replica.WithMeshJitter(d) }
-
-// WithMeshBackoff sets the daemon's failure retry window: min after a
-// first failure, doubling per consecutive failure up to max (defaults
-// 250ms and 30s). Non-positive values keep the defaults.
-func WithMeshBackoff(min, max time.Duration) NodeOption { return replica.WithMeshBackoff(min, max) }
 
 // AddPeer registers addr with the node's sync daemon and starts
 // supervising it immediately. Adding a present peer is a no-op.

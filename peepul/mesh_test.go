@@ -5,6 +5,7 @@ package peepul_test
 // acceptance scenario for the mesh daemon.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -26,9 +27,7 @@ func TestMeshRingConvergence(t *testing.T) {
 	hs := make([]*peepul.Handle[peepul.CounterPNState, peepul.CounterOp, peepul.CounterVal], nodes)
 	for i := range ns {
 		n, err := peepul.NewNode(fmt.Sprintf("m%d", i), i+1,
-			peepul.WithMeshInterval(100*time.Millisecond),
-			peepul.WithMeshJitter(20*time.Millisecond),
-			peepul.WithMeshBackoff(20*time.Millisecond, 200*time.Millisecond))
+			peepul.WithMeshInterval(100*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,6 +113,58 @@ func TestMeshRingConvergence(t *testing.T) {
 		}
 		if st.Rounds+st.Pushes == 0 {
 			t.Fatalf("m%d converged with zero completed exchanges: %+v", i, st)
+		}
+	}
+}
+
+// TestDoOnNodeBranchPushes: DoOn on the node's own branch is a Do — it
+// is pushed to mesh peers on commit, not left for the next
+// anti-entropy round. The minute-long interval puts the first round at
+// least 3.75s out, so only a push can land inside the 3s window.
+func TestDoOnNodeBranchPushes(t *testing.T) {
+	open := func(name string, id int, opts ...peepul.NodeOption) (*peepul.Node, *peepul.Handle[peepul.CounterPNState, peepul.CounterOp, peepul.CounterVal]) {
+		n, err := peepul.NewNode(name, id, append(opts, peepul.WithMeshInterval(time.Minute))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		h, err := peepul.Open(n, peepul.PNCounter, "hits")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		return n, h
+	}
+	n2, h2 := open("sink", 2)
+	_, h1 := open("source", 1, peepul.WithPeers(n2.Addr()))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := h2.Watch(ctx)
+
+	inc := peepul.CounterOp{Kind: peepul.CounterInc, N: 1}
+	for _, do := range []struct {
+		name string
+		fn   func() (peepul.CounterVal, error)
+	}{
+		{"Do", func() (peepul.CounterVal, error) { return h1.Do(inc) }},
+		{"DoOn(Branch())", func() (peepul.CounterVal, error) { return h1.DoOn(h1.Branch(), inc) }},
+	} {
+		if _, err := do.fn(); err != nil {
+			t.Fatal(err)
+		}
+		head, err := h1.Store().HeadHash(h1.Branch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-events:
+			if ev.Head != head {
+				t.Fatalf("%s: peer moved to %x, want the commit's head %x", do.name, ev.Head[:4], head[:4])
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s: commit not pushed to the peer within 3s", do.name)
 		}
 	}
 }

@@ -8,35 +8,20 @@ import (
 	"repro/internal/store"
 )
 
-// NodeOption adjusts node construction; options plumb through to every
-// object the node opens — store tunables and, for durable nodes, the
-// storage directory and fsync policy.
+// NodeOption adjusts node construction; the storage options plumb
+// through to every object the node opens.
 type NodeOption = replica.NodeOption
-
-// WithSnapshotEvery sets the pack layer's snapshot spacing in every
-// object store the node opens: states are delta-chained to their parent
-// with a full snapshot at most every n links, so resident bytes track the
-// operations, not the state size, while no cold read walks more than n
-// patches. 1 stores every state whole (the pre-pack format).
-func WithSnapshotEvery(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithSnapshotEvery(n))
-}
-
-// WithStateCacheSize bounds each object store's LRU of decoded states:
-// branch heads and recent merge bases stay hot, deep history is
-// re-materialized on demand instead of pinning memory forever.
-func WithStateCacheSize(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithStateCacheSize(n))
-}
 
 // WithStorage makes the node durable: every object opened on it keeps a
 // segmented, checksummed pack log in its own subdirectory of dir —
-// every commit and delta-chained state object appended as it happens,
-// compacted whenever the store garbage-collects. Reopening a node of
-// the same name over the same directory resumes each object with its
-// full history, branches and clocks intact; a log
-// damaged by a crash recovers to a verified prefix and re-converges
-// through ordinary delta sync.
+// every commit and delta-chained state object appended as it happens.
+// The log only grows: it is compacted only when the application calls
+// Store().GC() on a handle. The log writes an index checkpoint
+// periodically and on clean close, so reopening a node of the same name over the same directory seeks past
+// history instead of replaying it and resumes each object with its full
+// history, branches and clocks intact; state bytes stay on disk until
+// first read. A log damaged by a crash recovers to a verified prefix
+// and re-converges through ordinary delta sync.
 func WithStorage(dir string) NodeOption { return replica.WithStorage(dir) }
 
 // FsyncPolicy selects what a machine crash may cost a durable node:
@@ -53,28 +38,6 @@ const (
 // WithFsync sets a durable node's fsync policy; no effect without
 // WithStorage.
 func WithFsync(p FsyncPolicy) NodeOption { return replica.WithFsync(p) }
-
-// WithCheckpointEvery sets the checkpoint cadence of a durable node's
-// object logs: every n operations the log seals its segment and writes
-// an index checkpoint (the full commit/pack index, no state bytes), so
-// reopening the node seeks to the checkpoint and replays only the records
-// after it — flat-time restart however deep the history. Checkpoints are
-// also written after compaction and on clean close. The cadence is a
-// floor: since each checkpoint snapshots the whole index, deep logs
-// throttle to geometric spacing so checkpoint bytes stay linear in the
-// log (a clean close still checkpoints, so clean reopens stay flat).
-// The default cadence is 1024; zero or negative disables checkpoints
-// entirely. No effect without WithStorage.
-func WithCheckpointEvery(n int) NodeOption { return replica.WithCheckpointEvery(n) }
-
-// WithVerifyOnOpen(true) restores eager verification: every recovered
-// object's pack is fully reassembled and decoded at open, so corruption
-// fails the open instead of a later read. The default (false) validates
-// the commit index and leaves state bytes on disk until first use —
-// the lazy open that keeps restart time independent of history size.
-// (Before checkpointed recovery existed, the eager behaviour was
-// unconditional.) No effect without WithStorage.
-func WithVerifyOnOpen(v bool) NodeOption { return replica.WithVerifyOnOpen(v) }
 
 // StorageStats is the pack-log accounting of one durable object: live
 // segments and bytes on disk, records appended and recovered, what
@@ -187,8 +150,13 @@ func (h *Handle[S, Op, Val]) Fork(name string) error {
 	return h.obj.Store().Fork(h.obj.Branch(), name)
 }
 
-// DoOn applies an operation on the named local branch.
+// DoOn applies an operation on the named local branch. On the node's
+// own branch it is Do: it waits out any in-flight sync exchange and is
+// pushed to mesh peers.
 func (h *Handle[S, Op, Val]) DoOn(branch string, op Op) (Val, error) {
+	if branch == h.obj.Branch() {
+		return h.obj.Do(op)
+	}
 	return h.obj.Store().Apply(branch, op)
 }
 
@@ -222,5 +190,7 @@ func (h *Handle[S, Op, Val]) Stats() SyncStats { return h.node.ObjectStats(h.obj
 func (h *Handle[S, Op, Val]) StorageStats() (StorageStats, bool) { return h.obj.StorageStats() }
 
 // Store exposes the object's embedded versioned store for advanced use
-// (branch listing, export/import, garbage collection).
+// (branch listing, export/import, garbage collection). No node path
+// garbage-collects on its own: history, and a durable node's log, grow
+// until a caller invokes Store().GC().
 func (h *Handle[S, Op, Val]) Store() *store.Store[S, Op, Val] { return h.obj.Store() }

@@ -219,73 +219,3 @@ func TestHandleBranchAndMerge(t *testing.T) {
 		t.Fatal("Store accessor")
 	}
 }
-
-// logDeltas opens a mergeable log on n, appends to it and reports how
-// many of its store's states are patches: log states grow with every
-// append, so the default snapshot spacing chains most of them.
-func logDeltas(t *testing.T, n *peepul.Node) int {
-	t.Helper()
-	log, err := peepul.Open(n, peepul.MLog, "notes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := log.Do(peepul.MLogOp{Kind: peepul.MLogAppend, Msg: "entry"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return log.Store().PackStats().Deltas
-}
-
-// TestFrontierOptionsPlumbThrough: node options reach every object store
-// the node opens — snapshot spacing 1 stores every state whole where the
-// default delta-chains them.
-func TestFrontierOptionsPlumbThrough(t *testing.T) {
-	n, err := peepul.NewNode("tuned", 1, peepul.WithSnapshotEvery(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	h, err := peepul.Open(n, peepul.PNCounter, "hits")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		h.Do(peepul.CounterOp{Kind: peepul.CounterInc, N: 1})
-	}
-	if deltas := logDeltas(t, n); deltas != 0 {
-		t.Fatalf("tuned store chains %d deltas, want every state a snapshot", deltas)
-	}
-
-	d, err := peepul.NewNode("default", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	hd, err := peepul.Open(d, peepul.PNCounter, "hits")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		hd.Do(peepul.CounterOp{Kind: peepul.CounterInc, N: 1})
-	}
-	if logDeltas(t, d) == 0 {
-		t.Fatal("default store chains no deltas")
-	}
-
-	// Tuned nodes still converge: storage layout affects bytes, never
-	// correctness.
-	if err := d.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SyncWith(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	v, err := h.Do(peepul.CounterOp{Kind: peepul.CounterRead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 200 {
-		t.Fatalf("converged = %d, want 200", v)
-	}
-}
