@@ -3,6 +3,7 @@ package delta_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -173,6 +174,113 @@ func TestRandomizedRoundTrip(t *testing.T) {
 	}
 }
 
+// orsetShape encodes pairs the way the OR-set codecs do: a big-endian
+// u32 count, then one 16-byte (element, timestamp) pair per entry.
+func orsetShape(pairs [][2]uint64) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(pairs)))
+	for _, p := range pairs {
+		b = binary.BigEndian.AppendUint64(b, p[0])
+		b = binary.BigEndian.AppendUint64(b, p[1])
+	}
+	return b
+}
+
+// orsetPairs returns n pairs sorted by element, with random timestamps.
+func orsetPairs(rng *rand.Rand, n int) [][2]uint64 {
+	pairs := make([][2]uint64, n)
+	for i := range pairs {
+		pairs[i] = [2]uint64{uint64(3*i + 1), rng.Uint64()}
+	}
+	return pairs
+}
+
+// mlogShape encodes messages the way the mergeable-log codec does: a
+// big-endian u32 count, then newest-first (timestamp, length, message)
+// entries.
+func mlogShape(msgs [][]byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(msgs)))
+	for i, m := range msgs {
+		b = binary.BigEndian.AppendUint64(b, uint64(1000+len(msgs)-i))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(m)))
+		b = append(b, m...)
+	}
+	return b
+}
+
+// mlogMessages returns n messages of 28 to 76 random letters, so an
+// encoded entry is 40 to 88 bytes.
+func mlogMessages(rng *rand.Rand, n int) [][]byte {
+	msgs := make([][]byte, n)
+	for i := range msgs {
+		msgs[i] = make([]byte, 28+rng.Intn(49))
+		for j := range msgs[i] {
+			msgs[i][j] = byte('a' + rng.Intn(26))
+		}
+	}
+	return msgs
+}
+
+// edit is one commit-to-commit change of a state encoding; changed
+// counts the bytes the edit itself writes.
+type edit struct {
+	name         string
+	base, target []byte
+	changed      int
+}
+
+// structuredEdits are the edits the store's state objects see: an
+// OR-set insert, delete and timestamp rewrite on an encoding of the
+// given number of pairs, and a mergeable-log prepend on one of the given
+// number of entries. changed is the pair or entry plus the count.
+func structuredEdits(rng *rand.Rand, pairs, entries int) []edit {
+	set := orsetPairs(rng, pairs)
+	mid := len(set) / 2
+	inserted := append(append(append([][2]uint64{}, set[:mid]...), [2]uint64{uint64(3*mid - 1), rng.Uint64()}), set[mid:]...)
+	deleted := append(append([][2]uint64{}, set[:mid]...), set[mid+1:]...)
+	rewritten := append([][2]uint64{}, set...)
+	rewritten[mid][1] = rng.Uint64()
+	log := mlogMessages(rng, entries+1)
+	return []edit{
+		{"orset-insert", orsetShape(set), orsetShape(inserted), 16 + 4},
+		{"orset-delete", orsetShape(set), orsetShape(deleted), 4},
+		{"orset-rewrite", orsetShape(set), orsetShape(rewritten), 8},
+		{"mlog-prepend", mlogShape(log[1:]), mlogShape(log), 12 + len(log[0]) + 4},
+	}
+}
+
+// TestStructuredEdits: a local edit costs a patch of about its own size
+// and one allocation — the returned patch — however large the state.
+func TestStructuredEdits(t *testing.T) {
+	for _, c := range structuredEdits(rand.New(rand.NewSource(3)), 512, 200) {
+		t.Run(c.name, func(t *testing.T) {
+			patch := roundTrip(t, c.base, c.target)
+			if len(patch) > c.changed+24 {
+				t.Fatalf("patch is %d bytes for a %d-byte edit of a %d-byte state", len(patch), c.changed, len(c.target))
+			}
+			if cap(patch) != len(patch) {
+				t.Fatalf("patch has capacity %d for %d bytes", cap(patch), len(patch))
+			}
+			if allocs := testing.AllocsPerRun(20, func() { delta.Make(c.base, c.target) }); allocs != 1 {
+				t.Fatalf("Make allocates %v times per call, want 1", allocs)
+			}
+		})
+	}
+}
+
+// TestRotationUsesIndex: content relocated off every diagonal (a
+// rotation) must still be found — by the lazy block index.
+func TestRotationUsesIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := make([]byte, 8192)
+	rng.Read(base)
+	for _, k := range []int{1, 100, 4096, 8000} {
+		target := append(append([]byte{}, base[k:]...), base[:k]...)
+		if patch := roundTrip(t, base, target); len(patch) > 64 {
+			t.Fatalf("rotation by %d: patch is %d bytes, want two copies", k, len(patch))
+		}
+	}
+}
+
 // FuzzApply: arbitrary patches against arbitrary bases must error or
 // produce output — never panic, never over-allocate via forged lengths.
 func FuzzApply(f *testing.F) {
@@ -197,6 +305,12 @@ func FuzzApply(f *testing.F) {
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("some base"), []byte("some target"))
 	f.Add([]byte(""), []byte(""))
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range structuredEdits(rng, 24, 6) {
+		f.Add(c.base, c.target)
+	}
+	rot := orsetShape(orsetPairs(rng, 24))
+	f.Add(rot, append(append([]byte{}, rot[200:]...), rot[:200]...))
 	f.Fuzz(func(t *testing.T, base, target []byte) {
 		patch := delta.Make(base, target)
 		got, err := delta.Apply(base, patch)
@@ -207,4 +321,20 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatal("round trip mismatch")
 		}
 	})
+}
+
+// BenchmarkMake times one commit's patch on the two state shapes the
+// write path chains: an 8 KB OR-set insert and a ~43 KB mergeable-log
+// prepend.
+func BenchmarkMake(b *testing.B) {
+	edits := structuredEdits(rand.New(rand.NewSource(11)), 512, 670)
+	for _, c := range []edit{edits[0], edits[3]} {
+		b.Run(fmt.Sprintf("%s-%dKB", c.name, len(c.target)>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.target)))
+			for b.Loop() {
+				delta.Make(c.base, c.target)
+			}
+		})
+	}
 }

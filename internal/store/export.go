@@ -279,7 +279,7 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 			if patch != nil {
 				patch = append([]byte(nil), patch...)
 			}
-			s.packLocked(st, reenc, chainBase, patch)
+			s.storeLocked(st, reenc, s.packLocked(st, reenc, chainBase, patch))
 		}
 		s.putCommit(Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time})
 	}

@@ -70,7 +70,7 @@ func (s *Store[S, Op, Val]) foldBases(cands []Hash, rec func(a, b Hash) (Hash, e
 		if nextCommit.Gen > gen {
 			gen = nextCommit.Gen
 		}
-		st := s.putState(merged, baseCommit.State)
+		st := s.putState(merged, baseCommit.State, nil)
 		base = s.putCommit(Commit{
 			Parents: []Hash{base, next},
 			State:   st,

@@ -292,15 +292,13 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 	return st, nil
 }
 
-// packLocked stores encoding enc under its content address h, as a delta
-// chained to base when the spacing policy permits, else as a snapshot.
-// patch, when non-nil, is a ready-made delta from base's encoding to enc
-// (a patch that arrived over the wire) and is reused instead of being
-// recomputed; packLocked owns both slices. Callers hold the write lock.
-func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []byte) {
-	if s.objExistsLocked(h) {
-		return
-	}
+// packLocked builds the pack object for encoding enc, whose content
+// address is h: a delta chained to base when the spacing policy
+// permits, else a snapshot. patch, when non-nil, is a ready-made delta
+// from base's encoding to enc (a patch that arrived over the wire) and
+// is reused instead of being recomputed; the object owns both slices.
+// storeLocked installs the result. Callers hold the write lock.
+func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []byte) *packObject {
 	obj := &packObject{size: len(enc)}
 	// States beyond the patch format's target limit always snapshot:
 	// Apply rejects larger announced targets (its allocation bound), so
@@ -320,6 +318,13 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 		obj.data = enc
 	}
 	obj.stored = len(obj.data)
+	return obj
+}
+
+// storeLocked installs obj, built by packLocked from encoding enc, under
+// its content address h and reports it to the persister. Callers hold
+// the write lock.
+func (s *Store[S, Op, Val]) storeLocked(h Hash, enc []byte, obj *packObject) {
 	s.objects[h] = obj
 	s.persistObjectLocked(h, obj)
 	// The freshly packed encoding is the likeliest next chain base.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mlog"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -350,5 +351,40 @@ func TestMixedSnapshotSpacingConverges(t *testing.T) {
 		if err := s.VerifyPack(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestApplyStageHistograms: with a registry attached, every Apply
+// observes each write-path stage exactly once, and a merge commit
+// (written by Pull, not Apply) observes none.
+func TestApplyStageHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := logStore(store.WithObs(reg))
+	appendN(t, s, "main", 5, "a")
+	if err := s.Fork("main", "b"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, "main", 3, "m")
+	appendN(t, s, "b", 4, "b")
+	if err := s.Pull("main", "b"); err != nil {
+		t.Fatal(err)
+	}
+	const applies = 5 + 3 + 4
+	seen := map[string]int64{}
+	for _, m := range reg.Snapshot() {
+		if m.Name == "peepul_store_apply_ns" {
+			seen[m.Labels["stage"]] = m.Count
+		}
+	}
+	for _, stage := range []string{"do", "encode", "hash", "delta", "persist"} {
+		if seen[stage] != applies {
+			t.Errorf("stage %q observed %d times, want one per Apply (%d)", stage, seen[stage], applies)
+		}
+	}
+	if len(seen) != 5 {
+		t.Errorf("stages %v, want exactly do, encode, hash, delta, persist", seen)
+	}
+	if err := s.VerifyPack(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -208,7 +208,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 			s.nextID = rs.NextID
 		}
 		init := impl.Init()
-		st := s.putState(init, Hash{})
+		st := s.putState(init, Hash{}, nil)
 		root := s.putCommit(Commit{State: st, Gen: 1})
 		s.heads[main] = root
 		c, err := clock.New(s.nextID)

@@ -264,6 +264,7 @@ func (s *Store[S, Op, Val]) Fork(src, name string) error {
 func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sw := s.metrics.applyClock()
 	var zero Val
 	head, ok := s.heads[b]
 	if !ok {
@@ -276,7 +277,8 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	}
 	t := s.clocks[b].Tick()
 	next, val := s.impl.Do(op, cur, t)
-	st := s.putState(next, hc.State)
+	sw.lap(stageDo)
+	st := s.putState(next, hc.State, &sw)
 	s.heads[b] = s.putCommit(Commit{
 		Parents: []Hash{head},
 		State:   st,
@@ -284,7 +286,9 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 		Time:    t,
 	})
 	s.persistBranchLocked(b)
-	if err := s.finishPersistLocked(); err != nil {
+	err = s.finishPersistLocked()
+	sw.lap(stagePersist)
+	if err != nil {
 		return zero, err
 	}
 	return val, nil
@@ -465,7 +469,7 @@ func (s *Store[S, Op, Val]) mergeHeadsLocked(dst string, hd, other, base Hash) e
 	// The merge commit's first parent is dst's head: the pack layer
 	// chains the merged state against it, and packed exports ship that
 	// patch to peers that hold the parent.
-	st := s.putState(merged, dc.State)
+	st := s.putState(merged, dc.State, nil)
 	s.heads[dst] = s.putCommit(Commit{
 		Parents: []Hash{hd, other},
 		State:   st,
@@ -502,11 +506,21 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 
 // putState packs state, chained against the base state hash (its commit
 // parent's state; zero for the root), and returns its content address.
-func (s *Store[S, Op, Val]) putState(state S, base Hash) Hash {
+// sw, when non-nil, times its encode, hash and delta stages.
+func (s *Store[S, Op, Val]) putState(state S, base Hash, sw *applyClock) Hash {
 	enc := s.codec.Encode(state)
+	sw.lap(stageEncode)
 	h := sha256.Sum256(enc)
 	s.cache.put(h, state)
-	s.packLocked(h, enc, base, nil)
+	sw.lap(stageHash)
+	var obj *packObject
+	if !s.objExistsLocked(h) {
+		obj = s.packLocked(h, enc, base, nil)
+	}
+	sw.lap(stageDelta)
+	if obj != nil {
+		s.storeLocked(h, enc, obj)
+	}
 	return h
 }
 
