@@ -35,7 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -59,8 +59,10 @@ type objLoc struct {
 // A checkpoint-seeded open adopts the checkpoint's sections frozen and
 // overlays only what the suffix replay and this session's appends add;
 // a full replay or a compaction rebuild carries everything in the
-// overlay maps with frozen nil. Branch records are few and always live
-// in the map (an overlay entry supersedes a frozen section's name).
+// overlay maps with frozen nil. Every checkpoint written re-freezes it
+// into the first shape (checkpointLocked). Branch records are few and
+// always live in the map (an overlay entry supersedes a frozen section's
+// name).
 type shadowState struct {
 	frozen   *store.FrozenIndex
 	commits  map[store.Hash]store.Commit
@@ -98,67 +100,17 @@ type checkpoint struct {
 // by binary search without decoding. Frozen sections re-emit raw (a
 // memcpy per entry); overlay entries encode fresh, sorted and merged
 // into the frozen section's hash order, an overlay entry superseding a
-// frozen one with the same hash.
+// frozen one with the same hash. The payload is one buffer, sized for
+// the case where nothing is superseded; each section's count is filled
+// in once its merge has run.
 func encodeCheckpoint(meta map[string]string, sh *shadowState) []byte {
 	fz := sh.frozen
 	nfc, nfo := 0, 0
 	if fz != nil {
 		nfc, nfo = fz.NumCommits(), fz.NumObjects()
 	}
-
-	ckeys := make([]store.Hash, 0, len(sh.commits))
-	for h := range sh.commits {
-		ckeys = append(ckeys, h)
-	}
-	sort.Slice(ckeys, func(i, j int) bool { return bytes.Compare(ckeys[i][:], ckeys[j][:]) < 0 })
-	commits := make([]byte, 0, (nfc+len(ckeys))*store.FrozenCommitBytes)
-	ci := 0
-	for _, h := range ckeys {
-		for ci < nfc {
-			fh := fz.CommitHashAt(ci)
-			cmp := bytes.Compare(fh[:], h[:])
-			if cmp > 0 {
-				break
-			}
-			if cmp < 0 {
-				commits = append(commits, fz.RawCommit(ci)...)
-			}
-			ci++
-		}
-		commits = store.AppendFrozenCommit(commits, h, sh.commits[h])
-	}
-	for ; ci < nfc; ci++ {
-		commits = append(commits, fz.RawCommit(ci)...)
-	}
-
-	keys := make([]store.Hash, 0, len(sh.objects))
-	for h := range sh.objects {
-		keys = append(keys, h)
-	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i][:], keys[j][:]) < 0 })
-	objects := make([]byte, 0, (nfo+len(keys))*store.FrozenObjectBytes)
-	fi := 0
-	for _, h := range keys {
-		for fi < nfo {
-			fh := fz.ObjectHashAt(fi)
-			cmp := bytes.Compare(fh[:], h[:])
-			if cmp > 0 {
-				break
-			}
-			if cmp < 0 {
-				objects = append(objects, fz.RawObject(fi)...)
-			}
-			fi++ // equal: the overlay entry supersedes the frozen one
-		}
-		o := sh.objects[h]
-		objects = store.AppendFrozenObject(objects, h, store.FrozenObject{
-			Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth,
-			Stored: o.stored, Seg: o.seg, Off: o.off,
-		})
-	}
-	for ; fi < nfo; fi++ {
-		objects = append(objects, fz.RawObject(fi)...)
-	}
+	ckeys := sortedHashes(sh.commits)
+	keys := sortedHashes(sh.objects)
 
 	var w wire.Writer
 	w.PutLen(len(meta))
@@ -176,13 +128,69 @@ func encodeCheckpoint(meta map[string]string, sh *shadowState) []byte {
 	}
 	tail := w.Bytes()
 
-	payload := make([]byte, 0, 1+8+len(commits)+len(objects)+len(tail))
+	payload := make([]byte, 0, 1+4+(nfc+len(ckeys))*store.FrozenCommitBytes+
+		4+(nfo+len(keys))*store.FrozenObjectBytes+len(tail))
 	payload = append(payload, recCheckpoint)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(commits)/store.FrozenCommitBytes))
-	payload = append(payload, commits...)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(objects)/store.FrozenObjectBytes))
-	payload = append(payload, objects...)
+
+	at := len(payload)
+	payload = append(payload, 0, 0, 0, 0)
+	ci := 0
+	for _, h := range ckeys {
+		for ci < nfc {
+			fh := fz.CommitHashAt(ci)
+			cmp := bytes.Compare(fh[:], h[:])
+			if cmp > 0 {
+				break
+			}
+			if cmp < 0 {
+				payload = append(payload, fz.RawCommit(ci)...)
+			}
+			ci++
+		}
+		payload = store.AppendFrozenCommit(payload, h, sh.commits[h])
+	}
+	for ; ci < nfc; ci++ {
+		payload = append(payload, fz.RawCommit(ci)...)
+	}
+	binary.BigEndian.PutUint32(payload[at:], uint32((len(payload)-at-4)/store.FrozenCommitBytes))
+
+	at = len(payload)
+	payload = append(payload, 0, 0, 0, 0)
+	fi := 0
+	for _, h := range keys {
+		for fi < nfo {
+			fh := fz.ObjectHashAt(fi)
+			cmp := bytes.Compare(fh[:], h[:])
+			if cmp > 0 {
+				break
+			}
+			if cmp < 0 {
+				payload = append(payload, fz.RawObject(fi)...)
+			}
+			fi++ // equal: the overlay entry supersedes the frozen one
+		}
+		o := sh.objects[h]
+		payload = store.AppendFrozenObject(payload, h, store.FrozenObject{
+			Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth,
+			Stored: o.stored, Seg: o.seg, Off: o.off,
+		})
+	}
+	for ; fi < nfo; fi++ {
+		payload = append(payload, fz.RawObject(fi)...)
+	}
+	binary.BigEndian.PutUint32(payload[at:], uint32((len(payload)-at-4)/store.FrozenObjectBytes))
+
 	return append(payload, tail...)
+}
+
+// sortedHashes returns m's keys in ascending byte order.
+func sortedHashes[V any](m map[store.Hash]V) []store.Hash {
+	keys := make([]store.Hash, 0, len(m))
+	for h := range m {
+		keys = append(keys, h)
+	}
+	slices.SortFunc(keys, func(a, b store.Hash) int { return bytes.Compare(a[:], b[:]) })
+	return keys
 }
 
 // decodeCheckpoint parses a checkpoint record body (the payload past the
@@ -225,7 +233,7 @@ func decodeCheckpoint(body []byte) (*checkpoint, error) {
 		ck.meta[k] = r.String()
 	}
 	ck.nextID = int(r.Int64())
-	nb := r.Len(4 + len(store.Hash{}) + 16)
+	nb := r.Len(4 + hashLen + 16)
 	ck.branches = make(map[string]store.BranchRecord, nb)
 	for i := 0; i < nb; i++ {
 		name := r.String()
@@ -390,10 +398,16 @@ func (l *Log) mergeCheckpoint(rec *Recovered, ck *checkpoint) {
 // is still empty). Sealing fsyncs everything the checkpoint references
 // before the checkpoint itself is written, so a durable checkpoint can
 // never point at lost bytes.
+//
+// Once written, the checkpoint's index sections become the shadow's
+// frozen base and the overlay maps start empty — the shape a
+// checkpoint-seeded Open produces. The next checkpoint then sorts only
+// what was appended since this one and copies the rest raw, and the
+// index stops living in pointer-heavy maps the garbage collector scans.
 func (l *Log) checkpointLocked() error {
 	record := encodeCheckpoint(l.meta, &l.shadow)
 	if err := checkRecordSize(record); err != nil {
-		// A colossal index (beyond the replay limit) skips its
+		// An index beyond what one frame can describe skips its
 		// checkpoint: recovery falls back to segment replay, losing time,
 		// not data.
 		l.mutsSince = 0
@@ -411,11 +425,11 @@ func (l *Log) checkpointLocked() error {
 		}
 		l.metrics.rotated()
 	}
-	framed := appendFrame(nil, record)
-	if _, err := l.w.Write(framed); err != nil {
+	n, err := writeFrame(l.w, record)
+	if err != nil {
 		return err
 	}
-	l.size += int64(len(framed))
+	l.size += n
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
@@ -430,6 +444,15 @@ func (l *Log) checkpointLocked() error {
 	l.metrics.checkpointed()
 	l.mutsSince = 0
 	l.sinceCkpt = 0
+	// Decoding slices the sections out of the record just written — the
+	// frozen index aliases it — and parses only the small tail.
+	ck, err := decodeCheckpoint(record[1:])
+	if err != nil {
+		return fmt.Errorf("disk: re-reading the checkpoint just written: %w", err)
+	}
+	l.shadow.frozen = ck.frozen
+	l.shadow.commits = make(map[store.Hash]store.Commit)
+	l.shadow.objects = make(map[store.Hash]objLoc)
 	return nil
 }
 

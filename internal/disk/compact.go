@@ -134,11 +134,11 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 		if err := checkRecordSize(record); err != nil {
 			return err
 		}
-		framed := appendFrame(nil, record)
-		if _, err := w.Write(framed); err != nil {
+		n, err := writeFrame(w, record)
+		if err != nil {
 			return err
 		}
-		written += int64(len(framed))
+		written += n
 		nrec++
 		return nil
 	}

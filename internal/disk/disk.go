@@ -509,8 +509,7 @@ func (l *Log) appendLocked(record []byte) (seg int, off int64, err error) {
 		start := time.Now()
 		defer func() { m.appendNs.Observe(time.Since(start).Nanoseconds()) }()
 	}
-	framed := appendFrame(nil, record)
-	if l.size > int64(len(segMagic)) && l.size+int64(len(framed)) > l.opts.SegmentBytes {
+	if l.size > int64(len(segMagic)) && l.size+framedLen(record) > l.opts.SegmentBytes {
 		if err := l.sealLocked(); err != nil {
 			return 0, 0, err
 		}
@@ -523,10 +522,11 @@ func (l *Log) appendLocked(record []byte) (seg int, off int64, err error) {
 		l.metrics.rotated()
 	}
 	seg, off = l.seq, l.size
-	if _, err := l.w.Write(framed); err != nil {
+	n, err := writeFrame(l.w, record)
+	if err != nil {
 		return 0, 0, err
 	}
-	l.size += int64(len(framed))
+	l.size += n
 	l.stats.Records++
 	l.sinceCkpt++
 	return seg, off, nil

@@ -2,12 +2,16 @@ package disk_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/mlog"
+	"repro/internal/orset"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -176,6 +180,49 @@ func TestTornTail(t *testing.T) {
 	defer l3.Close()
 	if rec3.TruncatedBytes != 0 {
 		t.Fatalf("second recovery still truncating: %+v", rec3)
+	}
+}
+
+// TestCorruptLengthBoundedByFile: a frame whose length field announces
+// far more than its segment holds — a torn or corrupted header — is cut
+// as a torn tail without allocating what it announces, both where the
+// checkpoint probe reads it and where replay does. Bounding replay by the
+// file, not by a fixed record limit, is what lets a deep log's checkpoint
+// grow past any such limit and still be written.
+func TestCorruptLengthBoundedByFile(t *testing.T) {
+	dir := t.TempDir()
+	s, l, _ := openLogStore(t, dir)
+	for i := 0; i < 10; i++ {
+		appendMsg(t, s, "main", "m")
+	}
+	want := headMsgs(t, s, "main")
+	l.Close()
+
+	// A newest segment whose head frame claims a 90 MiB checkpoint record
+	// and holds 16 bytes of it.
+	bad := []byte("PPKLOG1\n")
+	bad = binary.BigEndian.AppendUint32(bad, 90<<20)
+	bad = binary.BigEndian.AppendUint32(bad, 0)
+	bad = append(bad, 7) // the checkpoint record kind
+	bad = append(bad, make([]byte, 15)...)
+	if err := os.WriteFile(filepath.Join(dir, "seg-99999999.log"), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s2, l2, rec := openLogStore(t, dir)
+	runtime.ReadMemStats(&after)
+	defer l2.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Fatalf("recovery allocated %d MiB for a frame the file cannot hold", got>>20)
+	}
+	if rec.TruncatedBytes != 24 {
+		t.Fatalf("TruncatedBytes = %d, want the 24-byte torn frame", rec.TruncatedBytes)
+	}
+	if got := headMsgs(t, s2, "main"); !statesEqual(got, want) {
+		t.Fatalf("the torn frame damaged the clean prefix")
 	}
 }
 
@@ -399,8 +446,11 @@ func TestCheckpointDisabled(t *testing.T) {
 	}
 }
 
-// TestFullReplayMatchesCheckpoint: WithFullReplay ignores checkpoints
-// and lands on exactly the same state the seek path recovers.
+// TestFullReplayMatchesCheckpoint: ignoring checkpoints and replaying
+// every segment recovers exactly what the checkpoint seek recovers —
+// after a clean close, and from a crash image taken once three in-session
+// checkpoints exist, the second and third written from the shadow the
+// first one re-froze. Both ways, every recovered chain verifies.
 func TestFullReplayMatchesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	opts := []disk.Option{disk.WithCheckpointEvery(8), disk.WithSegmentBytes(4 << 10)}
@@ -408,33 +458,42 @@ func TestFullReplayMatchesCheckpoint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		appendMsg(t, s, "main", "a message long enough to exercise delta chains")
 	}
+	if n := l.Stats().Checkpoints; n < 3 {
+		t.Fatalf("%d in-session checkpoints, want at least 3", n)
+	}
 	want := headMsgs(t, s, "main")
 	wantHead, _ := s.HeadHash("main")
 	wantCommits := s.NumCommits()
+	crash := t.TempDir()
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
 	l.Close()
 
-	s2, l2, rec := openLogStore(t, dir, append(append([]disk.Option(nil), opts...), disk.WithFullReplay())...)
-	if rec.Mode != disk.ModeReplay {
-		t.Fatalf("full replay reported mode %q", rec.Mode)
-	}
-	if got := headMsgs(t, s2, "main"); !statesEqual(got, want) {
-		t.Fatalf("full replay recovered different state")
-	}
-	if h, _ := s2.HeadHash("main"); h != wantHead {
-		t.Fatalf("full replay head %v, want %v", h, wantHead)
-	}
-	if n := s2.NumCommits(); n != wantCommits {
-		t.Fatalf("full replay has %d commits, want %d", n, wantCommits)
-	}
-	l2.Close()
-
-	s3, l3, rec3 := openLogStore(t, dir, opts...)
-	defer l3.Close()
-	if rec3.Mode != disk.ModeCheckpoint {
-		t.Fatalf("seek reopen reported mode %q", rec3.Mode)
-	}
-	if h, _ := s3.HeadHash("main"); h != wantHead {
-		t.Fatalf("seek recovery head %v, want %v", h, wantHead)
+	for _, d := range []string{dir, crash} {
+		for _, mode := range []string{disk.ModeReplay, disk.ModeCheckpoint} {
+			o := opts
+			if mode == disk.ModeReplay {
+				o = append(append([]disk.Option(nil), opts...), disk.WithFullReplay())
+			}
+			s2, l2, rec := openLogStore(t, d, o...)
+			if rec.Mode != mode {
+				t.Fatalf("recovered by %q, want %q", rec.Mode, mode)
+			}
+			if got := headMsgs(t, s2, "main"); !statesEqual(got, want) {
+				t.Fatalf("%s recovery recovered different state", mode)
+			}
+			if h, _ := s2.HeadHash("main"); h != wantHead {
+				t.Fatalf("%s recovery head %v, want %v", mode, h, wantHead)
+			}
+			if n := s2.NumCommits(); n != wantCommits {
+				t.Fatalf("%s recovery has %d commits, want %d", mode, n, wantCommits)
+			}
+			if err := s2.VerifyPack(); err != nil {
+				t.Fatalf("%s recovery: VerifyPack: %v", mode, err)
+			}
+			l2.Close()
+		}
 	}
 }
 
@@ -447,5 +506,39 @@ func TestClosedLog(t *testing.T) {
 	l.Close()
 	if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: "x"}); err == nil {
 		t.Fatal("Apply succeeded with a closed log")
+	}
+}
+
+// BenchmarkApplyOnDisk times one cart-shaped write through a store over
+// the log: an OR-set of about 500 live elements, 20k commits deep, where
+// each Apply encodes the ~8 KB state, hashes it, deltas it against its
+// parent's and appends the records.
+func BenchmarkApplyOnDisk(b *testing.B) {
+	l, rec, err := disk.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	s, err := store.OpenRecovered[orset.SpaceState, orset.Op, orset.Val](
+		orset.OrSetSpace{}, wire.OrSetSpace{}, "main", 0, &rec.State, store.WithPersister(l))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	apply := func() {
+		op := orset.Op{Kind: orset.Add, E: int64(rng.Intn(1000))}
+		if rng.Intn(2) == 0 {
+			op.Kind = orset.Remove
+		}
+		if _, err := s.Apply("main", op); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for range 20000 {
+		apply()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		apply()
 	}
 }

@@ -40,15 +40,28 @@ const (
 	recCheckpoint byte = 7
 )
 
-func encodeMeta(key, value string) []byte {
+// newRecord starts a record payload with room for exactly body more
+// bytes after its kind tag: each encoder below sizes its record up front
+// and writes it in one buffer, which the append path then frames straight
+// into the segment's write buffer, so a record is copied once.
+func newRecord(kind byte, body int) wire.Writer {
 	var w wire.Writer
+	w.Grow(1 + body)
+	w.PutByte(kind)
+	return w
+}
+
+const hashLen = len(store.Hash{})
+
+func encodeMeta(key, value string) []byte {
+	w := newRecord(recMeta, 4+len(key)+4+len(value))
 	w.PutString(key)
 	w.PutString(value)
-	return frame(recMeta, w.Bytes())
+	return w.Bytes()
 }
 
 func encodeCommit(h store.Hash, c store.Commit) []byte {
-	var w wire.Writer
+	w := newRecord(recCommit, hashLen+4+hashLen*len(c.Parents)+hashLen+8+8)
 	w.PutHash(h)
 	w.PutLen(len(c.Parents))
 	for _, p := range c.Parents {
@@ -57,47 +70,39 @@ func encodeCommit(h store.Hash, c store.Commit) []byte {
 	w.PutHash(c.State)
 	w.PutInt64(int64(c.Gen))
 	w.PutTimestamp(c.Time)
-	return frame(recCommit, w.Bytes())
+	return w.Bytes()
 }
 
 func encodeObject(h store.Hash, o store.ObjectRecord) []byte {
-	var w wire.Writer
+	w := newRecord(recObject, hashLen+1+hashLen+8+8+4+len(o.Data))
 	w.PutHash(h)
 	w.PutBool(o.Delta)
 	w.PutHash(o.Base)
 	w.PutInt64(int64(o.Size))
 	w.PutInt64(int64(o.Depth))
 	w.PutBytes(o.Data)
-	return frame(recObject, w.Bytes())
+	return w.Bytes()
 }
 
 func encodeBranch(name string, b store.BranchRecord) []byte {
-	var w wire.Writer
+	w := newRecord(recBranch, 4+len(name)+hashLen+8+8)
 	w.PutString(name)
 	w.PutHash(b.Head)
 	w.PutInt64(int64(b.Replica))
 	w.PutInt64(b.Clock)
-	return frame(recBranch, w.Bytes())
+	return w.Bytes()
 }
 
 func encodeBranchDelete(name string) []byte {
-	var w wire.Writer
+	w := newRecord(recBranchDel, 4+len(name))
 	w.PutString(name)
-	return frame(recBranchDel, w.Bytes())
+	return w.Bytes()
 }
 
 func encodeNextID(id int) []byte {
-	var w wire.Writer
+	w := newRecord(recNextID, 8)
 	w.PutInt64(int64(id))
-	return frame(recNextID, w.Bytes())
-}
-
-// frame prepends the kind tag, producing the record payload the segment
-// framing checksums and length-prefixes.
-func frame(kind byte, body []byte) []byte {
-	payload := make([]byte, 0, 1+len(body))
-	payload = append(payload, kind)
-	return append(payload, body...)
+	return w.Bytes()
 }
 
 // scanOp is one decoded record, tagged with the offset its frame starts
@@ -137,7 +142,7 @@ func decodeRecord(payload []byte, off int64) (scanOp, error) {
 		op.value = r.String()
 	case recCommit:
 		op.hash = r.Hash()
-		np := r.Len(len(store.Hash{}))
+		np := r.Len(hashLen)
 		for i := 0; i < np; i++ {
 			op.commit.Parents = append(op.commit.Parents, r.Hash())
 		}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,11 +31,12 @@ import (
 // segMagic opens every segment file.
 const segMagic = "PPKLOG1\n"
 
-// maxRecordBytes bounds one record's announced length: larger than any
-// record the store can produce (a snapshot of a wire-shippable state
-// plus framing), small enough that a corrupted length cannot drive a
-// giant allocation during replay.
-const maxRecordBytes = 96 << 20
+// maxRecordBytes is the largest payload a frame's u32 length can
+// announce. Replay never trusts an announced length beyond the bytes
+// actually left in the segment file, so a corrupted length cannot drive
+// an allocation larger than the file — which is why no smaller bound is
+// needed, and why a deep log's checkpoint is never too large to write.
+const maxRecordBytes = math.MaxUint32
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -73,24 +75,33 @@ func listSegments(dir string) ([]int, error) {
 	return seqs, nil
 }
 
-// checkRecordSize refuses records recovery would reject: writing one
+// checkRecordSize refuses records a frame cannot describe: writing one
 // would make the next open treat it as corruption and truncate
 // everything after it. Surfacing the error at write time makes the
-// owning store fail-stop instead. (Shared by the append path and
-// compaction's emitter — the bound must be one number.)
+// owning store fail-stop instead. (Shared by the append path, the
+// checkpoint writer and compaction's emitter — the bound must be one
+// number.)
 func checkRecordSize(record []byte) error {
-	if len(record) > maxRecordBytes {
-		return fmt.Errorf("disk: %d-byte record exceeds the %d replay limit", len(record), maxRecordBytes)
+	if int64(len(record)) > maxRecordBytes {
+		return fmt.Errorf("disk: %d-byte record exceeds the %d-byte frame limit", len(record), int64(maxRecordBytes))
 	}
 	return nil
 }
 
-// appendFrame appends one framed record to buf: length, checksum,
-// payload.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+// writeFrame writes one framed record to w: length and checksum into w's
+// own buffer, then the payload, which w copies once (or writes straight
+// through when it is larger than the buffer). It returns the framed size.
+func writeFrame(w *bufio.Writer, payload []byte) (int64, error) {
+	hdr := w.AvailableBuffer()
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
+	if _, err := w.Write(hdr); err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return 0, err
+	}
+	return framedLen(payload), nil
 }
 
 // framedLen is the on-disk size of a payload once framed.
@@ -121,6 +132,12 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 		return res
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		res.err = err
+		return res
+	}
+	size := st.Size()
 	r := bufio.NewReaderSize(f, 1<<20)
 
 	var magic [len(segMagic)]byte
@@ -142,7 +159,7 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 		// probe already decoded, megabytes the scan would otherwise pull
 		// through its buffer just to discard. The probe's frame read proves
 		// the file extends to from; a shorter file is a torn prefix.
-		if st, err := f.Stat(); err != nil || st.Size() < from {
+		if size < from {
 			res.torn = true
 			return res
 		}
@@ -170,7 +187,9 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 		}
 		length := binary.BigEndian.Uint32(hdr[0:4])
 		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if length > maxRecordBytes {
+		if int64(length) > size-res.good-8 {
+			// The frame announces more than the file holds: a torn tail
+			// or a corrupted length. Refuse before allocating for it.
 			res.torn = true
 			return res
 		}
@@ -208,15 +227,19 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 // It is the random-access complement to scanSegmentOps: checkpoint
 // probing reads a segment's head record with it, lazy object loads
 // re-read one record mid-file.
-func readFrameAt(f io.ReaderAt, off int64) (payload []byte, end int64, err error) {
+func readFrameAt(f *os.File, off int64) (payload []byte, end int64, err error) {
 	var hdr [8]byte
 	if _, err := f.ReadAt(hdr[:], off); err != nil {
 		return nil, 0, err
 	}
 	length := binary.BigEndian.Uint32(hdr[0:4])
 	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if length > maxRecordBytes {
-		return nil, 0, fmt.Errorf("frame at %d announces %d bytes", off, length)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	if int64(length) > st.Size()-off-8 {
+		return nil, 0, fmt.Errorf("frame at %d announces %d bytes, the file holds %d after it", off, length, st.Size()-off-8)
 	}
 	payload = make([]byte, length)
 	if _, err := f.ReadAt(payload, off+8); err != nil {

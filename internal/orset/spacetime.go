@@ -70,6 +70,9 @@ func RsimSpaceTime(abs *core.AbstractState[Op, Val], s TreeState) bool {
 // Flatten returns the tree's pairs in element order.
 func Flatten(s TreeState) SpaceState { return flatten(s) }
 
+// Len returns the number of pairs in the tree.
+func Len(s TreeState) int { return size(s) }
+
 // BuildBalanced constructs a perfectly height-balanced tree from an
 // element-sorted pair slice (used by codecs and tests; merge uses it
 // internally).

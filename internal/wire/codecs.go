@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"repro/internal/alphamap"
 	"repro/internal/chat"
 	"repro/internal/counter"
@@ -13,14 +15,37 @@ import (
 	"repro/internal/queue"
 )
 
+// innerCodec is what every codec of this package implements beyond
+// Encode and Decode: the exact encoded size of a state, and the encoding
+// itself written into a Writer that already has room for it. Encode is
+// the two together, so each encoding fills one exact-size buffer; AlphaMap
+// uses the pair to write its bindings' states in place inside its own.
+// The Writer passes by value, not by pointer, so calls through the
+// interface do not move it to the heap.
+type innerCodec[S any] interface {
+	Codec[S]
+	size(S) int
+	put(Writer, S) Writer
+}
+
+// sized returns a Writer with room for exactly n bytes.
+func sized(n int) Writer {
+	var w Writer
+	w.Grow(n)
+	return w
+}
+
 // IncCounter is the codec for the increment-only counter.
 type IncCounter struct{}
 
 // Encode serializes the counter.
-func (IncCounter) Encode(s int64) []byte {
-	var w Writer
+func (c IncCounter) Encode(s int64) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (IncCounter) size(int64) int { return 8 }
+
+func (IncCounter) put(w Writer, s int64) Writer {
 	w.PutInt64(s)
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the counter.
@@ -34,11 +59,14 @@ func (IncCounter) Decode(b []byte) (int64, error) {
 type PNCounter struct{}
 
 // Encode serializes the PN-counter.
-func (PNCounter) Encode(s counter.PNState) []byte {
-	var w Writer
+func (c PNCounter) Encode(s counter.PNState) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (PNCounter) size(counter.PNState) int { return 16 }
+
+func (PNCounter) put(w Writer, s counter.PNState) Writer {
 	w.PutInt64(s.P)
 	w.PutInt64(s.N)
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the PN-counter.
@@ -52,11 +80,14 @@ func (PNCounter) Decode(b []byte) (counter.PNState, error) {
 type DWFlag struct{}
 
 // Encode serializes the flag.
-func (DWFlag) Encode(s ewflag.DWState) []byte {
-	var w Writer
+func (c DWFlag) Encode(s ewflag.DWState) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (DWFlag) size(ewflag.DWState) int { return 9 }
+
+func (DWFlag) put(w Writer, s ewflag.DWState) Writer {
 	w.PutInt64(s.Disables)
 	w.PutBool(s.Flag)
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the flag.
@@ -70,11 +101,14 @@ func (DWFlag) Decode(b []byte) (ewflag.DWState, error) {
 type EWFlag struct{}
 
 // Encode serializes the flag.
-func (EWFlag) Encode(s ewflag.State) []byte {
-	var w Writer
+func (c EWFlag) Encode(s ewflag.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (EWFlag) size(ewflag.State) int { return 9 }
+
+func (EWFlag) put(w Writer, s ewflag.State) Writer {
 	w.PutInt64(s.Enables)
 	w.PutBool(s.Flag)
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the flag.
@@ -88,11 +122,14 @@ func (EWFlag) Decode(b []byte) (ewflag.State, error) {
 type LWWReg struct{}
 
 // Encode serializes the register.
-func (LWWReg) Encode(s lwwreg.State) []byte {
-	var w Writer
+func (c LWWReg) Encode(s lwwreg.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (LWWReg) size(lwwreg.State) int { return 16 }
+
+func (LWWReg) put(w Writer, s lwwreg.State) Writer {
 	w.PutTimestamp(s.T)
 	w.PutInt64(s.V)
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the register.
@@ -106,13 +143,16 @@ func (LWWReg) Decode(b []byte) (lwwreg.State, error) {
 type GSet struct{}
 
 // Encode serializes the set.
-func (GSet) Encode(s gset.State) []byte {
-	var w Writer
+func (c GSet) Encode(s gset.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (GSet) size(s gset.State) int { return 4 + 8*len(s) }
+
+func (GSet) put(w Writer, s gset.State) Writer {
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutInt64(e)
 	}
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the set.
@@ -130,15 +170,24 @@ func (GSet) Decode(b []byte) (gset.State, error) {
 type GMap struct{}
 
 // Encode serializes the map.
-func (GMap) Encode(s gmap.State) []byte {
-	var w Writer
+func (c GMap) Encode(s gmap.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (GMap) size(s gmap.State) int {
+	n := 4
+	for _, e := range s {
+		n += 4 + len(e.K) + 16
+	}
+	return n
+}
+
+func (GMap) put(w Writer, s gmap.State) Writer {
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutString(e.K)
 		w.PutTimestamp(e.T)
 		w.PutInt64(e.V)
 	}
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the map.
@@ -156,14 +205,23 @@ func (GMap) Decode(b []byte) (gmap.State, error) {
 type MLog struct{}
 
 // Encode serializes the log.
-func (MLog) Encode(s mlog.State) []byte {
-	var w Writer
+func (c MLog) Encode(s mlog.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (MLog) size(s mlog.State) int {
+	n := 4
+	for _, e := range s {
+		n += 8 + 4 + len(e.Msg)
+	}
+	return n
+}
+
+func (MLog) put(w Writer, s mlog.State) Writer {
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutTimestamp(e.T)
 		w.PutString(e.Msg)
 	}
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the log.
@@ -177,12 +235,13 @@ func (MLog) Decode(b []byte) (mlog.State, error) {
 	return s, r.Close()
 }
 
-func encodePairs(w *Writer, ps []orset.Pair) {
+func putPairs(w Writer, ps []orset.Pair) Writer {
 	w.PutLen(len(ps))
 	for _, p := range ps {
 		w.PutInt64(p.E)
 		w.PutTimestamp(p.T)
 	}
+	return w
 }
 
 func decodePairs(r *Reader) []orset.Pair {
@@ -198,11 +257,11 @@ func decodePairs(r *Reader) []orset.Pair {
 type OrSet struct{}
 
 // Encode serializes the set.
-func (OrSet) Encode(s orset.State) []byte {
-	var w Writer
-	encodePairs(&w, s)
-	return w.Bytes()
-}
+func (c OrSet) Encode(s orset.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (OrSet) size(s orset.State) int { return 4 + 16*len(s) }
+
+func (OrSet) put(w Writer, s orset.State) Writer { return putPairs(w, s) }
 
 // Decode deserializes the set.
 func (OrSet) Decode(b []byte) (orset.State, error) {
@@ -215,11 +274,11 @@ func (OrSet) Decode(b []byte) (orset.State, error) {
 type OrSetSpace struct{}
 
 // Encode serializes the set.
-func (OrSetSpace) Encode(s orset.SpaceState) []byte {
-	var w Writer
-	encodePairs(&w, s)
-	return w.Bytes()
-}
+func (c OrSetSpace) Encode(s orset.SpaceState) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (OrSetSpace) size(s orset.SpaceState) int { return 4 + 16*len(s) }
+
+func (OrSetSpace) put(w Writer, s orset.SpaceState) Writer { return putPairs(w, s) }
 
 // Decode deserializes the set.
 func (OrSetSpace) Decode(b []byte) (orset.SpaceState, error) {
@@ -235,10 +294,28 @@ func (OrSetSpace) Decode(b []byte) (orset.SpaceState, error) {
 type OrSetSpaceTime struct{}
 
 // Encode serializes the set.
-func (OrSetSpaceTime) Encode(s orset.TreeState) []byte {
-	var w Writer
-	encodePairs(&w, orset.Flatten(s))
-	return w.Bytes()
+func (c OrSetSpaceTime) Encode(s orset.TreeState) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (OrSetSpaceTime) size(s orset.TreeState) int { return 4 + 16*orset.Len(s) }
+
+// put walks the tree in order, writing each pair where Flatten would
+// have placed it, then fills in the count the walk produced.
+func (OrSetSpaceTime) put(w Writer, s orset.TreeState) Writer {
+	at := len(w.buf)
+	w.PutLen(0)
+	w = putTree(w, s)
+	binary.BigEndian.PutUint32(w.buf[at:], uint32((len(w.buf)-at-4)/16))
+	return w
+}
+
+func putTree(w Writer, n *orset.TreeNode) Writer {
+	if n == nil {
+		return w
+	}
+	w = putTree(w, n.Left)
+	w.PutInt64(n.Pair.E)
+	w.PutTimestamp(n.Pair.T)
+	return putTree(w, n.Right)
 }
 
 // Decode deserializes the set.
@@ -257,15 +334,24 @@ func (OrSetSpaceTime) Decode(b []byte) (orset.TreeState, error) {
 type Queue struct{}
 
 // Encode serializes the queue.
-func (Queue) Encode(s queue.State) []byte {
-	var w Writer
-	ps := s.ToSlice()
-	w.PutLen(len(ps))
-	for _, p := range ps {
-		w.PutTimestamp(p.T)
-		w.PutInt64(p.V)
-	}
-	return w.Bytes()
+func (c Queue) Encode(s queue.State) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (Queue) size(s queue.State) int { return 4 + 16*s.Len() }
+
+// put lays the entries out oldest-first by position, so the newest-first
+// back list lands reversed without materializing the queue.
+func (Queue) put(w Writer, s queue.State) Writer {
+	n := s.Len()
+	w.PutLen(n)
+	w.Grow(16 * n)
+	at := len(w.buf)
+	w.buf = w.buf[:at+16*n]
+	entries := w.buf[at:]
+	s.Each(func(i int, p queue.Pair) {
+		binary.BigEndian.PutUint64(entries[16*i:], uint64(p.T))
+		binary.BigEndian.PutUint64(entries[16*i+8:], uint64(p.V))
+	})
+	return w
 }
 
 // Decode deserializes the queue.
@@ -286,20 +372,36 @@ func (Queue) Decode(b []byte) (queue.State, error) {
 // one generic codec serves every composition instance (chat, α-map of
 // counters, α-map of OR-sets, …).
 type AlphaMap[S any] struct {
-	// Inner serializes the value states the map binds.
-	Inner Codec[S]
+	// Inner serializes the value states the map binds. It is one of this
+	// package's codecs, so the map can size the bound states and write
+	// them in place.
+	Inner innerCodec[S]
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
 // pairs in binding order.
-func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
-	var w Writer
+func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte { return c.put(sized(c.size(s)), s).buf }
+
+func (c AlphaMap[S]) size(s alphamap.State[S]) int {
+	n := 4
+	for _, e := range s {
+		n += 4 + len(e.K) + 4 + c.Inner.size(e.V)
+	}
+	return n
+}
+
+// put writes each inner payload straight after its length prefix and
+// fills the prefix in afterwards, sizing every bound state once.
+func (c AlphaMap[S]) put(w Writer, s alphamap.State[S]) Writer {
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutString(e.K)
-		w.PutBytes(c.Inner.Encode(e.V))
+		at := len(w.buf)
+		w.PutLen(0)
+		w = c.Inner.put(w, e.V)
+		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
-	return w.Bytes()
+	return w
 }
 
 // Decode deserializes the map.

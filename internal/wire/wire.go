@@ -8,12 +8,20 @@
 // The format is deliberately simple: fixed-width big-endian integers and
 // length-prefixed strings, concatenated in state order. Every Decode
 // validates lengths and returns an error on truncated or trailing input.
+//
+// Every codec encodes into one exact-size buffer: each knows its state's
+// encoded size up front (a fixed width per entry, plus one pass summing
+// string lengths where a state carries strings), grows the Writer once,
+// and writes — one allocation per Encode, nested α-map states included.
+// Content addresses are hashes of these bytes, so the layout is frozen;
+// presizing changes how the bytes are produced, never which bytes.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -34,6 +42,13 @@ type Writer struct {
 
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Grow reserves room for n more bytes, so writing exactly n more bytes
+// performs no further allocation.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
+// PutByte appends one raw byte.
+func (w *Writer) PutByte(b byte) { w.buf = append(w.buf, b) }
 
 // PutInt64 appends a fixed-width integer.
 func (w *Writer) PutInt64(v int64) {
